@@ -41,7 +41,6 @@ from .subproblem import (
 from .thresholds import ThresholdParams, make_threshold_params
 
 __all__ = [
-    "Alg1State",
     "ClipState",
     "BaselineConfig",
     "compulsory_controller",
@@ -54,15 +53,6 @@ __all__ = [
     "make_player",
     "ADVICE_FREE_ALGORITHMS",
 ]
-
-
-@dataclass
-class Alg1State:
-    """Mutable per-run state of the threshold player."""
-
-    t: int = 1
-    z: float = 0.0
-    x_prev: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass
@@ -97,11 +87,6 @@ class BaselineConfig:
             return BaselineConfig(epsilon=epsilon, lam=0.0)
         lam = max(0.0, (alpha - 1.0 - epsilon) / (alpha - 1.0))
         return BaselineConfig(epsilon=epsilon, lam=lam)
-
-
-def _fire(t: int, z: float, T: int, c_weights: np.ndarray) -> bool:
-    # Same predicate as core.compulsory_start, shape-level arguments.
-    return bool(np.all((T - (t + 1)) * c_weights < 1.0 - z))
 
 
 def _controller_decision(z: float, t: int, T: int, c_weights: np.ndarray) -> np.ndarray:
@@ -142,7 +127,7 @@ def compulsory_controller(state, instance: Instance, t: int) -> np.ndarray:
     """Decision of the compulsory-trade controller at step t.
 
     ``state`` is anything carrying the current utilization as attribute
-    ``z`` (Alg1State, ClipState) or a bare float.
+    ``z`` (such as ClipState) or a bare float.
     """
     z = float(getattr(state, "z", state))
     if not 1 <= t <= instance.T:
@@ -196,7 +181,7 @@ class _Alg1Player(_PlayerBase):
                 w_weights=self.w_weights,
                 params=self.params,
             )
-            if _fire(self.t, self.z, self.T, self.c_weights):
+            if compulsory_start(self.t, self.z, self):
                 # Forced filling on the compulsory controller's schedule, but
                 # picking the cheapest coordinates: the guarantee needs the
                 # player to keep exploiting low prices inside the window.
@@ -224,7 +209,7 @@ class _AgnosticPlayer(_PlayerBase):
         if self.z < 1.0 - FEAS_TOL:
             if self.k is None:
                 self.k = int(np.argmin(f_t))
-            if _fire(self.t, self.z, self.T, self.c_weights):
+            if compulsory_start(self.t, self.z, self):
                 x = _controller_decision(self.z, self.t, self.T, self.c_weights)
             else:
                 x[self.k] = min(1.0, (1.0 - self.z) / self.c_weights[self.k])
@@ -259,7 +244,7 @@ class _SimpleThresholdPlayer(_PlayerBase):
         f_t = np.asarray(f_t, dtype=float)
         x = np.zeros(self.d)
         if self.z < 1.0 - FEAS_TOL:
-            if _fire(self.t, self.z, self.T, self.c_weights):
+            if compulsory_start(self.t, self.z, self):
                 x = _controller_decision(self.z, self.t, self.T, self.c_weights)
             else:
                 hits = np.nonzero(f_t <= self.psi)[0]
@@ -338,16 +323,6 @@ def _check_advice(instance: Instance, advice: np.ndarray) -> np.ndarray:
     return np.clip(advice, 0.0, 1.0)
 
 
-# Compulsory-trade policy for the advice-following player: "follow" tracks
-# the advice's own remaining plan and only tops up what must be forced,
-# "fill" forces the remaining demand on the controller's schedule into the
-# cheapest coordinates (mirroring the advice-free player), "controller"
-# fills greedily ignoring both prices and advice.  Following the advice is
-# what keeps the window within the consistency budget: the advice already
-# paid for its own schedule, so tracking it costs at most that again.
-_CLIP_COMPULSORY = "follow"
-
-
 def _top_up(x: np.ndarray, amount: float, c_weights: np.ndarray) -> np.ndarray:
     """Raise x by ``amount`` of utilization, largest c weight first."""
     x = x.copy()
@@ -405,36 +380,21 @@ def run_clip(
 
         if st.z >= 1.0 - FEAS_TOL:
             x = np.zeros(instance.d)
-        elif _fire(t, st.z, instance.T, instance.c_weights):
-            if _CLIP_COMPULSORY == "controller":
-                x = _controller_decision(st.z, t, instance.T, instance.c_weights)
-            elif _CLIP_COMPULSORY == "fill":
-                # Same forced schedule as the advice-free player: maximal
-                # amounts, cheapest coordinates, consistency ignored (its
-                # terms pre-charged the window at these rates already).
-                ctx = StepContext(
-                    f_t=f_t,
-                    x_prev=st.x_prev,
-                    z=st.p,
-                    cap=1.0 - st.z,
-                    c_weights=instance.c_weights,
-                    w_weights=instance.w_weights,
-                    params=params,
-                )
-                y = min(1.0 - st.z, 1.0, float(np.sum(instance.c_weights)))
-                x = fill_to_utilization(ctx, y)
-            else:
-                # Track the advice's remaining plan, scaled to this run's
-                # residual demand, and force only what can no longer wait.
-                if follow_ratio is None:
-                    adv_rest = float(np.sum(advice[t - 1:] @ instance.c_weights))
-                    need = 1.0 - st.z
-                    follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
-                x = np.clip(a_t * follow_ratio, 0.0, 1.0)
-                max_later = (instance.T - t) * float(np.max(instance.c_weights))
-                shortfall = (1.0 - st.z - constraint_value(x, instance.c_weights)) - max_later
-                if shortfall > FEAS_TOL:
-                    x = _top_up(x, shortfall, instance.c_weights)
+        elif compulsory_start(t, st.z, instance):
+            # Compulsory trade: track the advice's remaining plan, scaled to
+            # this run's residual demand, and force only what can no longer
+            # wait.  Following the advice is what keeps the window within the
+            # consistency budget: the advice already paid for its own
+            # schedule, so tracking it costs at most that again.
+            if follow_ratio is None:
+                adv_rest = float(np.sum(advice[t - 1:] @ instance.c_weights))
+                need = 1.0 - st.z
+                follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
+            x = np.clip(a_t * follow_ratio, 0.0, 1.0)
+            max_later = (instance.T - t) * float(np.max(instance.c_weights))
+            shortfall = (1.0 - st.z - constraint_value(x, instance.c_weights)) - max_later
+            if shortfall > FEAS_TOL:
+                x = _top_up(x, shortfall, instance.c_weights)
         else:
             ctx = StepContext(
                 f_t=f_t,

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CflError, DomainError, NumericError, save_instance
+from .core import CflError, ConfigError, DomainError, NumericError, save_instance
 from .harness import (
     ADVICE_FREE_ROSTER,
     ADVISED_ROSTER,
@@ -287,7 +287,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (DomainError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (DomainError, ConfigError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CflError as exc:

@@ -257,8 +257,10 @@ def trajectory_violations(instance: Instance, decisions) -> list[str]:
 def compulsory_start(t: int, z: float, instance: Instance) -> bool:
     """Whether the compulsory trade is active at step t given utilization z.
 
-    True once the steps remaining after the next one can no longer close the
-    residual constraint even at maximal throughput, i.e.
+    ``instance`` is an Instance or anything carrying its ``T`` and
+    ``c_weights``, such as an incremental player.  True once the steps
+    remaining after the next one can no longer close the residual
+    constraint even at maximal throughput, i.e.
     ``(T - (t + 1)) * c^i < 1 - z`` for every coordinate.  The window is
     deliberately conservative by one step so a full step of slack remains
     when filling begins.
@@ -311,4 +313,8 @@ def save_instance(instance: Instance, path) -> None:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path} is not a JSON instance document: {exc}") from exc
+    return instance_from_dict(doc)

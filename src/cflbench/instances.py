@@ -9,7 +9,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algorithms import _fire, make_player
+from .algorithms import make_player
 from .subproblem import StepContext, fill_to_utilization
 from .thresholds import make_threshold_params
 from .core import (
@@ -17,6 +17,7 @@ from .core import (
     DimensionMismatch,
     DomainError,
     Instance,
+    compulsory_start,
     constraint_value,
     make_trajectory,
     validate_instance,
@@ -251,7 +252,7 @@ def make_inactive_advice(instance: Instance) -> np.ndarray:
     for t in range(1, instance.T + 1):
         if z >= 1.0 - FEAS_TOL:
             break
-        if _fire(t, z, instance.T, instance.c_weights):
+        if compulsory_start(t, z, instance):
             ctx = StepContext(
                 f_t=instance.costs[t - 1],
                 x_prev=x_prev,
@@ -368,8 +369,9 @@ def ingest_trace(
     must appear exactly once.  A header row is skipped if present.
     """
     cells: dict[tuple[str, str], float] = {}
-    timestamps: list[str] = []
-    regions: list[str] = []
+    # Insertion-ordered key sets: membership stays O(1) per row.
+    timestamps: dict[str, None] = {}
+    regions: dict[str, None] = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not field.strip() for field in row):
@@ -386,14 +388,12 @@ def ingest_trace(
             if (ts, region) in cells:
                 raise DomainError(f"line {lineno}: duplicate cell ({ts}, {region})")
             cells[(ts, region)] = value
-            if ts not in timestamps:
-                timestamps.append(ts)
-            if region not in regions:
-                regions.append(region)
+            timestamps[ts] = None
+            regions[region] = None
     if not cells:
         raise DomainError("trace contains no data rows")
 
-    def order(keys: list[str]) -> list[str]:
+    def order(keys: dict[str, None]) -> list[str]:
         try:
             return sorted(keys, key=float)
         except ValueError:

@@ -8,9 +8,11 @@ problems over the box [0, 1]^d with a budget-rate cap on c(x):
 * constrained: the same objective with a consistency-slack constraint that
   ties the step to an advice trajectory.
 
-Both solvers are exact up to the requested tolerance and fully
-deterministic.  A brute-force grid oracle is included for cross-checking
-in low dimension.
+One closed-form enumerator (``_minimize``) solves both: the free problem
+exactly, and the constrained one at any fixed Lagrange multiplier of the
+consistency constraint, so the constrained solver is a single bisection on
+that multiplier.  Both are deterministic.  A brute-force grid oracle is
+included for cross-checking in low dimension.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FEAS_TOL, DimensionMismatch, DomainError, constraint_value, weighted_l1
-from .thresholds import ThresholdParams, phi_eps_integral, phi_integral
+from .thresholds import ThresholdParams, phi_eps_integral, phi_integral, phi_rate_integral
 
 __all__ = [
     "StepContext",
@@ -39,8 +41,10 @@ __all__ = [
 # constraint; matches the post-hoc check used by the advice-following runner.
 SLACK_TOL = 1e-9
 
-_GOLDEN_ITERS = 70
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Halvings of the normalized multiplier in the constrained solve; the loop
+# also stops once the bracket reaches float resolution.
+_BISECT_STEPS = 60
+_SECANT_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,16 @@ def _effective_cap(ctx: StepContext) -> float:
     return max(0.0, min(1.0, ctx.cap))
 
 
+def _within_cap(ctx: StepContext, x: np.ndarray) -> np.ndarray:
+    """x clipped to the box, scaled down onto the cap if it exceeds it."""
+    x = np.clip(x, 0.0, 1.0)
+    cap = _effective_cap(ctx)
+    total = constraint_value(x, ctx.c_weights)
+    if total > cap and total > 0.0:
+        x = x * (cap / total)
+    return x
+
+
 def pseudo_cost_objective(x: np.ndarray, ctx: StepContext) -> float:
     """Hitting + switching minus the threshold credit of the added utilization.
 
@@ -158,14 +172,14 @@ def pseudo_cost_objective(x: np.ndarray, ctx: StepContext) -> float:
 
 def _segments(
     ctx: StepContext,
-    nu: float = 0.0,
+    s: float = 0.0,
     a: Optional[np.ndarray] = None,
 ) -> list[tuple[float, int, float, float]]:
     """Per-coordinate linear pieces of the separable movement cost, sorted by
     marginal cost per unit of utilization.
 
-    With ``nu == 0`` the cost is f.x + ||x - x_prev||_w; with ``nu > 0`` and
-    advice ``a`` it is (1+nu)(f.x + ||x - x_prev||_w) + nu ||x - a||_w.
+    With ``s == 0`` the cost is f.x + ||x - x_prev||_w; with ``0 < s <= 1``
+    and advice ``a`` it is f.x + ||x - x_prev||_w + s ||x - a||_w.
     Each entry is (rate, coordinate, lo, hi): raising x_i from lo to hi costs
     rate * c_i per unit of utilization.  Within a coordinate the pieces are
     convex (nondecreasing rates), and the sort is stable on
@@ -174,7 +188,7 @@ def _segments(
     f, w, c, xp = ctx.f_t, ctx.w_weights, ctx.c_weights, ctx.x_prev
     segs: list[tuple[float, int, float, float]] = []
     for i in range(ctx.d):
-        if nu > 0.0 and a is not None:
+        if s > 0.0:
             points = sorted({0.0, min(1.0, max(0.0, xp[i])), min(1.0, max(0.0, a[i])), 1.0})
         else:
             points = sorted({0.0, min(1.0, max(0.0, xp[i])), 1.0})
@@ -183,10 +197,10 @@ def _segments(
                 continue
             mid = 0.5 * (lo + hi)
             slope = f[i] + w[i] * math.copysign(1.0, mid - xp[i])
-            if nu > 0.0 and a is not None:
-                slope = (1.0 + nu) * slope + nu * w[i] * math.copysign(1.0, mid - a[i])
+            if s > 0.0:
+                slope += s * w[i] * math.copysign(1.0, mid - a[i])
             segs.append((slope / c[i], i, lo, hi))
-    segs.sort(key=lambda s: (s[0], s[1], s[2]))
+    segs.sort(key=lambda seg: (seg[0], seg[1], seg[2]))
     return segs
 
 
@@ -204,11 +218,85 @@ def _fill(segs, c: np.ndarray, d: int, y: float) -> np.ndarray:
     return x
 
 
-def _movement_cost(ctx: StepContext, x: np.ndarray) -> float:
-    return float(ctx.f_t @ x) + weighted_l1(x - ctx.x_prev, ctx.w_weights)
+def _minimize(
+    ctx: StepContext,
+    s: float = 0.0,
+    cc: Optional[ConsistencyContext] = None,
+) -> np.ndarray:
+    """Exact minimizer over {x in [0,1]^d : c(x) <= cap} of
+
+        f.x + ||x - x_prev||_w + s ||x - a||_w - (1 - s) credit(y) - s B(y),
+
+    where y = c(x), credit is the threshold integral the step adds and
+    B(y) = L y - (U - L) max(k - y, 0), with k = advice_utilization - z_prev,
+    is the utilization part of the consistency budget.  ``s`` is the
+    normalized multiplier nu / (1 + nu) of the consistency constraint:
+    ``s == 0`` is the pseudo-cost itself and ``s == 1`` the constraint's
+    own left-hand side minus its budget.
+
+    At fixed y the movement part is the greedy fill of ``_segments``, linear
+    in y on each segment.  The y-part is convex (concave credit and budget),
+    so on each linear piece the derivative rate - (1 - s) phi(z + y) - s B'(y)
+    has at most one root, with a closed form because phi is an exponential.
+    The minimum is attained at a segment end, the budget kink or such a
+    root; the walk below visits them in increasing y and keeps the first
+    best, so ties go to smaller added utilization.
+    """
+    cap = _effective_cap(ctx)
+    y_max = min(cap, float(np.sum(ctx.c_weights)), max(0.0, 1.0 - ctx.z))
+    if y_max <= 1e-15:
+        return np.zeros(ctx.d)
+
+    p = ctx.params
+    U, L, beta = p.U, p.L, p.beta
+    rate = _marginal_rate(ctx)
+    dcoef = U / rate - U + 2.0 * beta  # exponential coefficient of the threshold
+    a = None if cc is None else cc.a_t
+    kink = math.inf if cc is None else cc.advice_utilization - cc.z_prev
+    segs = _segments(ctx, s, a)
+
+    def value(y: float, move: float) -> float:
+        v = move
+        if s < 1.0:
+            v -= (1.0 - s) * phi_rate_integral(ctx.z, min(1.0, ctx.z + y), U, beta, rate)
+        if s > 0.0:
+            v -= s * (L * y - (U - L) * max(kink - y, 0.0))
+        return v
+
+    # Movement cost of x = 0, then of the fill as it grows.
+    move0 = weighted_l1(ctx.x_prev, ctx.w_weights)
+    if s > 0.0:
+        move0 += s * weighted_l1(a, ctx.w_weights)
+    best_v, best_y = value(0.0, move0), 0.0
+    y0 = 0.0
+    for seg_rate, i, lo, hi in segs:
+        y1 = min(y0 + ctx.c_weights[i] * (hi - lo), y_max)
+        u0 = y0
+        for u1 in ((kink, y1) if y0 < kink < y1 else (y1,)):
+            candidates = [u1]
+            # Interior stationary point: phi(z + y) == (rate - s B') / (1 - s).
+            # dcoef < 0 off the degenerate L == U case, where phi is constant
+            # and the piece ends already cover the minimum.
+            if s < 1.0 and dcoef < 0.0:
+                target = (seg_rate - s * (U if u1 <= kink else L)) / (1.0 - s)
+                if target < U - beta:
+                    ystar = rate * math.log((target - U + beta) / dcoef) - ctx.z
+                    if u0 < ystar < u1:
+                        candidates.insert(0, ystar)
+            for y in candidates:
+                v = value(y, move0 + seg_rate * (y - y0))
+                if v < best_v - 1e-15:
+                    best_v, best_y = v, y
+            u0 = u1
+        if y1 >= y_max:
+            break
+        move0 += seg_rate * (y1 - y0)
+        y0 = y1
+
+    return _within_cap(ctx, _fill(segs, ctx.c_weights, ctx.d, best_y))
 
 
-def minimize_pseudo_cost(ctx: StepContext, tol: float = 1e-7) -> np.ndarray:
+def minimize_pseudo_cost(ctx: StepContext) -> np.ndarray:
     """Exact minimizer of the pseudo-cost over {x in [0,1]^d : c(x) <= cap}.
 
     The movement cost at fixed added utilization y is piecewise linear in y
@@ -220,52 +308,7 @@ def minimize_pseudo_cost(ctx: StepContext, tol: float = 1e-7) -> np.ndarray:
     Ties are broken toward smaller added utilization, then lexicographically
     smaller x (the greedy fill is itself deterministic).
     """
-    p = ctx.params
-    cap = _effective_cap(ctx)
-    y_max = min(cap, float(np.sum(ctx.c_weights)), max(0.0, 1.0 - ctx.z))
-    if y_max <= 1e-15:
-        return np.zeros(ctx.d)
-
-    segs = _segments(ctx)
-    rate = _marginal_rate(ctx)
-    U, beta = p.U, p.beta
-    dcoef = U / rate - U + 2.0 * beta  # exponential coefficient of the threshold
-
-    candidates = [0.0, y_max]
-    y_cum = 0.0
-    for seg_rate, i, lo, hi in segs:
-        span = ctx.c_weights[i] * (hi - lo)
-        y0, y1 = y_cum, min(y_cum + span, y_max)
-        y_cum += span
-        if y0 >= y_max:
-            break
-        candidates.append(y0)
-        if y1 > y0:
-            candidates.append(y1)
-        # Interior stationary point: phi(z + y) == seg_rate.  dcoef < 0 off
-        # the degenerate L == U case, where phi is constant and boundaries
-        # already cover the minimum.
-        if dcoef < 0.0 and seg_rate < U - beta:
-            zstar = rate * math.log((seg_rate - U + beta) / dcoef)
-            ystar = zstar - ctx.z
-            if y0 < ystar < y1:
-                candidates.append(ystar)
-
-    best_obj = math.inf
-    best_y = 0.0
-    best_x = np.zeros(ctx.d)
-    for y in candidates:
-        y = min(max(y, 0.0), y_max)
-        x = _fill(segs, ctx.c_weights, ctx.d, y)
-        obj = _movement_cost(ctx, x) - _credit(ctx, ctx.z, min(1.0, ctx.z + y))
-        if obj < best_obj - 1e-15 or (abs(obj - best_obj) <= 1e-15 and y < best_y):
-            best_obj, best_y, best_x = obj, y, x
-
-    x = np.clip(best_x, 0.0, 1.0)
-    total = constraint_value(x, ctx.c_weights)
-    if total > cap and total > 0.0:
-        x = x * (cap / total)
-    return x
+    return _minimize(ctx)
 
 
 def fill_to_utilization(ctx: StepContext, y: float) -> np.ndarray:
@@ -320,285 +363,69 @@ def consistency_slack(x: np.ndarray, ctx: StepContext, cc: ConsistencyContext) -
     return budget - spent
 
 
-def _constraint_lhs(ctx: StepContext, cc: ConsistencyContext, x: np.ndarray) -> float:
-    """The x-dependent part of the consistency constraint, to be kept <= the
-    utilization-dependent budget computed in _constraint_budget."""
-    return (
-        float(ctx.f_t @ x)
-        + weighted_l1(x - ctx.x_prev, ctx.w_weights)
-        + weighted_l1(x - cc.a_t, ctx.w_weights)
-    )
-
-
-def _constraint_budget(ctx: StepContext, cc: ConsistencyContext, y: float) -> float:
-    L, U = ctx.params.L, ctx.params.U
-    adv_norm = weighted_l1(cc.a_t, ctx.w_weights)
-    z_new = cc.z_prev + y
-    return (
-        (1.0 + cc.epsilon) * (cc.adv_cost + adv_norm + (1.0 - cc.advice_utilization) * L)
-        - cc.clip_cost_so_far
-        - adv_norm
-        - (1.0 - z_new) * L
-        - max(cc.advice_utilization - z_new, 0.0) * (U - L)
-    )
-
-
-def _min_lhs_at(ctx: StepContext, cc: ConsistencyContext, y: float) -> tuple[float, np.ndarray]:
-    """Minimum of the constraint's x-part at fixed added utilization y."""
-    segs = _segments(ctx, nu=1e12, a=cc.a_t)
-    x = _fill(segs, ctx.c_weights, ctx.d, y)
-    return _constraint_lhs(ctx, cc, x), x
-
-
-def _value_at(
-    ctx: StepContext,
-    cc: ConsistencyContext,
-    y: float,
-    nu_hint: list[float],
-) -> tuple[float, Optional[np.ndarray]]:
-    """Constrained movement-cost minimum at fixed added utilization y.
-
-    Solves min f.x + ||x - x_prev||_w over {c(x) = y, box} subject to
-    lhs(x) <= budget(y) by sweeping the Lagrange multiplier nu of the
-    constraint: for each nu the relaxed problem is separable and solved by
-    the greedy fill.  The bracketing solutions are then combined linearly
-    to land on the constraint boundary (lhs is convex along the segment and
-    c(.) is linear, so the combination stays utilization-exact).
-    """
-    budget = _constraint_budget(ctx, cc, y)
-    plain = _segments(ctx)
-    x_h = _fill(plain, ctx.c_weights, ctx.d, y)
-    if _constraint_lhs(ctx, cc, x_h) <= budget + 1e-12:
-        return _movement_cost(ctx, x_h), x_h
-
-    lhs_min, x_g = _min_lhs_at(ctx, cc, y)
-    if lhs_min > budget + 1e-12:
-        return math.inf, None
-
-    # Bracket nu: x(0) violates, x(nu_hi) satisfies.
-    nu_lo, x_lo = 0.0, x_h
-    nu_hi = max(nu_hint[0] / 4.0, 1.0)
-    x_hi = None
-    for _ in range(80):
-        xc = _fill(_segments(ctx, nu=nu_hi, a=cc.a_t), ctx.c_weights, ctx.d, y)
-        if _constraint_lhs(ctx, cc, xc) <= budget:
-            x_hi = xc
-            break
-        nu_lo, x_lo = nu_hi, xc
-        if nu_hi >= 1e12:
-            # The relaxed fill has converged to the min-lhs solution well
-            # before this point; growing nu further only risks overflow.
-            break
-        nu_hi *= 4.0
-    if x_hi is None:
-        x_hi = x_g
-    for _ in range(60):
-        if nu_hi - nu_lo <= 1e-10 * (1.0 + nu_hi):
-            break
-        nu_mid = 0.5 * (nu_lo + nu_hi)
-        xc = _fill(_segments(ctx, nu=nu_mid, a=cc.a_t), ctx.c_weights, ctx.d, y)
-        if _constraint_lhs(ctx, cc, xc) <= budget:
-            nu_hi, x_hi = nu_mid, xc
-        else:
-            nu_lo, x_lo = nu_mid, xc
-    nu_hint[0] = min(max(nu_hi, 1.0), 1e12)
-
-    # Interpolate between the infeasible and feasible greedy solutions to sit
-    # on the boundary; keep the feasible side.
-    lam_lo, lam_hi = 0.0, 1.0  # weight on x_hi
-    x_best = x_hi
-    for _ in range(60):
-        lam = 0.5 * (lam_lo + lam_hi)
-        xc = (1.0 - lam) * x_lo + lam * x_hi
-        if _constraint_lhs(ctx, cc, xc) <= budget:
-            lam_hi, x_best = lam, xc
-        else:
-            lam_lo = lam
-    return _movement_cost(ctx, x_best), x_best
-
-
-def _truncated_advice(ctx: StepContext, cc: ConsistencyContext) -> np.ndarray:
-    x = np.clip(cc.a_t, 0.0, 1.0)
-    cap = _effective_cap(ctx)
-    total = constraint_value(x, ctx.c_weights)
-    if total > cap and total > 0.0:
-        x = x * (cap / total)
-    return x
-
-
-def _subgradient_rescue(
-    ctx: StepContext,
-    cc: ConsistencyContext,
-    starts: list[np.ndarray],
-) -> Optional[np.ndarray]:
-    """Projected subgradient descent on an exact-penalty objective; used only
-    when the structured search fails to produce nonnegative slack."""
-    from .thresholds import phi, phi_eps
-
-    p = ctx.params
-    mu = 1e3 * max(1.0, p.U)
-    cap = _effective_cap(ctx)
-    c, w, f, a = ctx.c_weights, ctx.w_weights, ctx.f_t, cc.a_t
-    best: Optional[np.ndarray] = None
-    best_obj = math.inf
-    for x0 in starts:
-        x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-        total = constraint_value(x, c)
-        if total > cap and total > 0.0:
-            x = x * (cap / total)
-        for k in range(1, 501):
-            y = constraint_value(x, c)
-            zy = min(1.0, ctx.z + y)
-            thr = phi_eps(zy, p) if p.gamma_eps is not None else phi(zy, p)
-            g = f + w * np.sign(x - ctx.x_prev) - thr * c
-            if consistency_slack(x, ctx, cc) < 0.0:
-                g = g + mu * (
-                    f
-                    + w * np.sign(x - ctx.x_prev)
-                    + w * np.sign(x - a)
-                    - p.L * c
-                    - (p.U - p.L) * c * float(cc.advice_utilization - cc.z_prev - y > 0.0)
-                )
-            x = np.clip(x - (0.05 / math.sqrt(k)) * g / max(1.0, float(np.max(np.abs(g)))), 0.0, 1.0)
-            total = constraint_value(x, c)
-            if total > cap and total > 0.0:
-                x = x * (cap / total)
-            if consistency_slack(x, ctx, cc) >= -SLACK_TOL:
-                obj = pseudo_cost_objective(x, ctx)
-                if obj < best_obj:
-                    best_obj, best = obj, x.copy()
-    return best
-
-
-def minimize_pseudo_cost_constrained(
-    ctx: StepContext,
-    cc: ConsistencyContext,
-    tol: float = 1e-7,
-) -> np.ndarray:
+def minimize_pseudo_cost_constrained(ctx: StepContext, cc: ConsistencyContext) -> np.ndarray:
     """Minimize the pseudo-cost subject to the advice-consistency constraint.
 
-    The feasible utilization levels form an interval (the budget is concave
-    in y while the minimal constraint cost is convex), so the solver brackets
-    that interval by bisection and runs a golden-section search over it with
-    the per-level constrained solve of _value_at.
+    The step is a convex program: the pseudo-cost is convex, and the
+    constraint's left-hand side is convex piecewise linear against a budget
+    that is concave in the added utilization.  It is solved with one
+    Lagrange multiplier nu >= 0 on the constraint, normalized to
+    s = nu / (1 + nu) in [0, 1]; at fixed s, ``_minimize`` is exact.
 
-    If the feasible set is certifiably empty the advice decision itself,
-    truncated to the step's cap, is returned and the event is flagged with a
-    warning; the caller decides how to account for it.
+    * s = 0 is the free minimizer, returned when it is already consistent.
+    * s = 1 minimizes the constraint itself.  If even that point violates it
+      by more than SLACK_TOL, no decision is consistent: the advice
+      decision, truncated to the step's cap, is returned and the event is
+      flagged with a warning; the caller decides how to account for it.
+    * Otherwise the slack of the relaxed minimizer is nondecreasing in s,
+      so s* is bisected down to float resolution.  The relaxed minimizers
+      on either side of s* are mixed onto the constraint boundary: the
+      slack is concave along the segment between them, so the secant
+      through their slacks gives a consistent point.
     """
-    x_free = minimize_pseudo_cost(ctx, tol)
-    if consistency_slack(x_free, ctx, cc) >= 0.0:
-        return x_free
-
-    cap = _effective_cap(ctx)
-    y_max = min(cap, float(np.sum(ctx.c_weights)), max(0.0, 1.0 - ctx.z))
-
-    def feas_margin(y: float) -> float:
-        return _constraint_budget(ctx, cc, y) - _min_lhs_at(ctx, cc, y)[0]
-
-    # Locate any feasible utilization level.
-    probes = [
-        min(max(constraint_value(cc.a_t, ctx.c_weights), 0.0), y_max),
-        min(constraint_value(x_free, ctx.c_weights), y_max),
-        0.0,
-        y_max,
-    ] + [y_max * k / 32.0 for k in range(1, 32)]
-    y_seed = None
-    for y in probes:
-        if feas_margin(y) >= -1e-12:
-            y_seed = y
-            break
-    if y_seed is None:
+    x_lo = _minimize(ctx)
+    slack_lo = consistency_slack(x_lo, ctx, cc)
+    if slack_lo >= 0.0:
+        return x_lo
+    x_hi = _minimize(ctx, 1.0, cc)
+    slack_hi = consistency_slack(x_hi, ctx, cc)
+    if slack_hi < -SLACK_TOL:
         warnings.warn(
             "consistency constraint infeasible at every utilization level; "
             "returning truncated advice",
             RuntimeWarning,
             stacklevel=2,
         )
-        return _truncated_advice(ctx, cc)
+        return _within_cap(ctx, cc.a_t)
 
-    # Feasible set is an interval around y_seed; bisect for its edges.
-    lo, hi = 0.0, y_seed
-    if feas_margin(0.0) >= -1e-12:
-        y_lo = 0.0
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if feas_margin(mid) >= -1e-12:
-                hi = mid
-            else:
-                lo = mid
-        y_lo = hi
-    lo, hi = y_seed, y_max
-    if feas_margin(y_max) >= -1e-12:
-        y_hi = y_max
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if feas_margin(mid) >= -1e-12:
-                lo = mid
-            else:
-                hi = mid
-        y_hi = lo
-
-    nu_hint = [1.0]
-
-    def total_at(y: float) -> tuple[float, Optional[np.ndarray]]:
-        move, x = _value_at(ctx, cc, y, nu_hint)
-        if x is None:
-            return math.inf, None
-        return move - _credit(ctx, ctx.z, min(1.0, ctx.z + y)), x
-
-    a_gs, b_gs = y_lo, y_hi
-    c_gs = b_gs - _INV_PHI * (b_gs - a_gs)
-    d_gs = a_gs + _INV_PHI * (b_gs - a_gs)
-    fc, _ = total_at(c_gs)
-    fd, _ = total_at(d_gs)
-    for _ in range(_GOLDEN_ITERS):
-        if b_gs - a_gs <= 1e-12:
+    # Within SLACK_TOL of infeasible, aim for the least violation there is.
+    target = min(0.0, slack_hi)
+    if slack_lo >= target:
+        return x_lo
+    s_lo, s_hi = 0.0, 1.0
+    for _ in range(_BISECT_STEPS):
+        s = 0.5 * (s_lo + s_hi)
+        if not s_lo < s < s_hi:
             break
-        if fc <= fd:
-            b_gs, d_gs, fd = d_gs, c_gs, fc
-            c_gs = b_gs - _INV_PHI * (b_gs - a_gs)
-            fc, _ = total_at(c_gs)
+        x = _minimize(ctx, s, cc)
+        slack = consistency_slack(x, ctx, cc)
+        if slack >= target:
+            s_hi, x_hi, slack_hi = s, x, slack
         else:
-            a_gs, c_gs, fc = c_gs, d_gs, fd
-            d_gs = a_gs + _INV_PHI * (b_gs - a_gs)
-            fd, _ = total_at(d_gs)
+            s_lo, x_lo, slack_lo = s, x, slack
 
-    # The budget has a kink where the advice's over-coverage term vanishes;
-    # include it alongside the interval edges and the search result.
-    finalists = [y_lo, y_hi, 0.5 * (a_gs + b_gs)]
-    y_kink = cc.advice_utilization - cc.z_prev
-    if y_lo < y_kink < y_hi:
-        finalists.append(y_kink)
-    best_obj = math.inf
-    best_x: Optional[np.ndarray] = None
-    for y in finalists:
-        obj, x = total_at(min(max(y, y_lo), y_hi))
-        if x is not None and obj < best_obj:
-            best_obj, best_x = obj, x
-
-    if best_x is None or consistency_slack(best_x, ctx, cc) < -SLACK_TOL:
-        starts = [x for x in (best_x, x_free, _truncated_advice(ctx, cc)) if x is not None]
-        starts.append(np.zeros(ctx.d))
-        rescued = _subgradient_rescue(ctx, cc, starts)
-        if rescued is not None:
-            best_x = rescued
-        elif best_x is None:
-            warnings.warn(
-                "constrained step solve failed to certify a feasible decision; "
-                "returning truncated advice",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return _truncated_advice(ctx, cc)
-
-    x = np.clip(best_x, 0.0, 1.0)
-    total = constraint_value(x, ctx.c_weights)
-    if total > cap and total > 0.0:
-        x = x * (cap / total)
-    return x
+    # The slack is concave on the segment to x_hi, so the secant step onto
+    # the boundary lands on its feasible side; it is repeated only while
+    # rounding leaves the computed slack short of the target.
+    x, slack = x_lo, slack_lo
+    for _ in range(_SECANT_STEPS):
+        x = x + (target - slack) / (slack_hi - slack) * (x_hi - x)
+        slack = consistency_slack(x, ctx, cc)
+        if slack >= target:
+            break
+    else:
+        x = x_hi
+    return _within_cap(ctx, x)
 
 
 def grid_oracle(

@@ -254,6 +254,15 @@ def _phi_integral_generic(z1, z2, U: float, beta: float, rate: float):
     return (U - beta) * (z2 - z1) + rate * coeff * (np.exp(z2 / rate) - np.exp(z1 / rate))
 
 
+def phi_rate_integral(z1: float, z2: float, U: float, beta: float, rate: float) -> float:
+    """Scalar form of _phi_integral_generic for the step solvers' inner loops:
+    the integral over [z1, z2] of the threshold decaying at ``rate`` (alpha
+    for phi, gamma_eps for phi_eps).  Unvalidated: the caller keeps
+    0 <= z1 <= z2 <= 1."""
+    coeff = U / rate - U + 2.0 * beta
+    return (U - beta) * (z2 - z1) + rate * coeff * (math.exp(z2 / rate) - math.exp(z1 / rate))
+
+
 def phi(z, params: ThresholdParams):
     """Threshold value at utilization z; decreasing from U/alpha + beta to L + beta."""
     z = _check_unit_range(z, "z")

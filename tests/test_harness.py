@@ -220,13 +220,22 @@ def test_cli_gen_then_run(tmp_path):
     assert all(float(r["empirical_cr"]) >= 1.0 - 1e-9 for r in rows)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # unknown algorithm name: configuration error
     assert main(["sweep", "--algs", "quantum", "--quick",
                  "--out", str(tmp_path / "x")]) == 2
     # missing instance file
     assert main(["run", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "y")]) == 2
+    # instance files with a missing field or no JSON at all: configuration
+    # errors reported on one stderr line, not numeric failures or tracebacks
+    (tmp_path / "partial.json").write_text('{"d": 1, "T": 2}\n')
+    (tmp_path / "garbage.json").write_text("not json\n")
+    for name in ("partial.json", "garbage.json"):
+        capsys.readouterr()
+        assert main(["run", str(tmp_path / name), "--out", str(tmp_path / "y")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
     # a records file claiming to beat the optimum: numeric failure
     bad = tmp_path / "bad.csv"
     with open(bad, "w", newline="") as fh:

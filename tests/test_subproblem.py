@@ -1,12 +1,20 @@
 """Per-step pseudo-cost solver, checked against a brute-force grid oracle."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from cflbench.core import DimensionMismatch, DomainError, constraint_value, weighted_l1
+import cflbench.algorithms as algorithms
+from cflbench.core import FEAS_TOL, DimensionMismatch, DomainError, constraint_value, weighted_l1
+from cflbench.instances import GeneratorConfig, generate_synthetic
+from cflbench.offline import AdviceConfig, make_advice, solve_opt, solve_worst
 from cflbench.subproblem import (
+    SLACK_TOL,
     ConsistencyContext,
     StepContext,
     consistency_slack,
@@ -16,7 +24,7 @@ from cflbench.subproblem import (
     minimize_pseudo_cost_constrained,
     pseudo_cost_objective,
 )
-from cflbench.thresholds import make_threshold_params, phi_integral
+from cflbench.thresholds import compute_alpha, make_threshold_params, phi_integral
 
 
 def make_ctx(rng, d=2, L=1.0, U=50.0, beta_frac=0.3, epsilon=None):
@@ -293,6 +301,35 @@ def test_certified_empty_truncates_with_warning():
     assert np.all(x >= 0) and np.all(x <= 1)
 
 
+def test_constrained_mixes_across_multiplier_jump():
+    # At the budget's kink (y = 0.43) the relaxed minimizer jumps between
+    # two fills of the same utilization as the multiplier crosses its
+    # optimum.  Neither fill alone is optimal: the consistent side costs
+    # 16.22 against 14.44 for their mix on the constraint boundary.
+    params = make_threshold_params(1.19, 98.82, 21.94, epsilon=29.35)
+    ctx = StepContext(
+        f_t=np.array([56.39, 96.69, 30.97]),
+        x_prev=np.array([0.39, 0.06, 0.42]),
+        z=0.31,
+        cap=0.66,
+        c_weights=np.ones(3),
+        w_weights=np.array([21.94, 6.67, 11.86]),
+        params=params,
+    )
+    cc = ConsistencyContext(
+        a_t=np.array([0.59, 0.25, 0.16]),
+        adv_cost=104.4,
+        clip_cost_so_far=3624.0,
+        advice_utilization=0.77,
+        z_prev=0.34,
+        epsilon=29.35,
+    )
+    x = minimize_pseudo_cost_constrained(ctx, cc)
+    ref = grid_oracle(ctx, cc=cc, grid_n=100)
+    assert consistency_slack(x, ctx, cc) >= -SLACK_TOL
+    assert pseudo_cost_objective(x, ctx) <= pseudo_cost_objective(ref, ctx)
+
+
 def test_grid_oracle_rejects_high_dim():
     rng = np.random.default_rng(43)
     ctx = make_ctx(rng, d=4)
@@ -332,3 +369,127 @@ def test_context_validation():
             z_prev=0.0,
             epsilon=-1.0,
         )
+
+
+def max_slack_lp(ctx, cc):
+    """Largest consistency slack any decision of the step can reach, by LP.
+
+    Variables x (d), u >= |x - x_prev| (d), v >= |x - a| (d) and
+    m >= max(k - c.x, 0) with k = advice_utilization - z_prev; the slack's
+    x-dependent part f.x + w.u + w.v - L c.x + (U - L) m is minimized over
+    the box and the step's utilization cap.  Returns the slack at the LP's
+    decision, evaluated exactly.
+    """
+    d, c, w = ctx.d, ctx.c_weights, ctx.w_weights
+    L, U = ctx.params.L, ctx.params.U
+    k = cc.advice_utilization - cc.z_prev
+    obj = np.concatenate([ctx.f_t - L * c, w, w, [U - L]])
+    eye, zero = np.eye(d), np.zeros((d, d))
+    col = np.zeros((d, 1))
+    rows = [
+        np.hstack([eye, -eye, zero, col]),    # x - u <= x_prev
+        np.hstack([-eye, -eye, zero, col]),   # -x - u <= -x_prev
+        np.hstack([eye, zero, -eye, col]),    # x - v <= a
+        np.hstack([-eye, zero, -eye, col]),   # -x - v <= -a
+        np.concatenate([-c, np.zeros(2 * d), [-1.0]])[None, :],  # k - c.x <= m
+        np.concatenate([c, np.zeros(2 * d + 1)])[None, :],       # c.x <= cap
+    ]
+    cap = min(1.0, ctx.cap, 1.0 - ctx.z)
+    rhs = np.concatenate([ctx.x_prev, -ctx.x_prev, cc.a_t, -cc.a_t, [-k], [cap]])
+    bounds = [(0.0, 1.0)] * d + [(0.0, None)] * (2 * d + 1)
+    res = linprog(obj, A_ub=np.vstack(rows), b_ub=rhs, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return consistency_slack(np.clip(res.x[:d], 0.0, 1.0), ctx, cc)
+
+
+def test_constrained_warns_only_when_infeasible(monkeypatch):
+    # The headline grid on the default cell: every step the constrained
+    # solver gives up on must be one where no decision is consistent.
+    warned = []
+    solve = algorithms.minimize_pseudo_cost_constrained
+
+    def recording(ctx, cc):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = solve(ctx, cc)
+        if caught:
+            warned.append((ctx, cc))
+        return x
+
+    monkeypatch.setattr(algorithms, "minimize_pseudo_cost_constrained", recording)
+    cfg = GeneratorConfig()
+    for i in range(20):
+        inst = generate_synthetic(seed=42, index=i, config=cfg)
+        opt, worst = solve_opt(inst), solve_worst(inst)
+        for xi in (0.0, 0.25, 0.5, 1.0):
+            advice = make_advice(inst, AdviceConfig(xi=xi), opt=opt, worst=worst)
+            for eps in (2.0, 5.0, 10.0):
+                algorithms.run_clip(inst, advice, eps)
+    for ctx, cc in warned:
+        assert max_slack_lp(ctx, cc) < -SLACK_TOL
+
+
+@st.composite
+def step_contexts(draw):
+    d = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0)
+    L = draw(st.floats(0.5, 5.0))
+    U = L * draw(st.floats(1.5, 400.0))
+    # Threshold: augmented (clip's steps) or plain (alg1's), and beta
+    # anywhere below its bound, including a hair under (U - L) / 2.
+    # compute_gamma cannot certify its root within ~1e-4 of that bound, so
+    # edge contexts price with the plain threshold.
+    kind = draw(st.sampled_from(["augmented", "plain", "edge"]))
+    beta = (U - L) / 2.0 * (1.0 - 1e-9 if kind == "edge" else draw(st.floats(0.0, 0.99)))
+    c = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
+    share = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    share[draw(st.integers(0, d - 1))] = 1.0
+    w = beta * share * c
+    f = np.array(draw(st.lists(st.floats(L, U), min_size=d, max_size=d))) * c
+    z_true = draw(st.one_of(st.floats(0.0, 0.999), st.just(1.0 - 1e-7)))
+    p = z_true * draw(unit)
+    x_prev = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    a = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    x_prev /= max(1.0, constraint_value(x_prev, c))
+    a /= max(1.0, constraint_value(a, c))
+    alpha = compute_alpha(L, U, float(np.max(w / c)))
+    eps = max(alpha - 1.0, 1e-9) * draw(st.floats(0.01, 1.0))
+    params = make_threshold_params(L, U, float(np.max(w / c)),
+                                   epsilon=min(eps, alpha - 1.0) if kind == "augmented" else None)
+    ctx = StepContext(f_t=f, x_prev=x_prev, z=p, cap=1.0 - z_true,
+                      c_weights=c, w_weights=w, params=params)
+    cc = ConsistencyContext(
+        a_t=a,
+        adv_cost=draw(st.floats(0.0, 3.0)) * U,
+        clip_cost_so_far=0.0,
+        advice_utilization=min(1.0, z_true + draw(st.floats(0.0, 0.5))),
+        z_prev=z_true,
+        epsilon=eps,
+    )
+    # Spend the run's budget so far so that idling this step leaves a drawn
+    # slack of up to U/2 either way: the constraint binds in many cases.
+    spare = U * draw(st.floats(-0.5, 0.5))
+    spent = consistency_slack(np.zeros(d), ctx, cc) - spare
+    cc = dataclasses.replace(cc, clip_cost_so_far=max(0.0, spent))
+    return ctx, cc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(step_contexts())
+def test_step_solvers_properties(case):
+    ctx, cc = case
+    x_free = minimize_pseudo_cost(ctx)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x_con = minimize_pseudo_cost_constrained(ctx, cc)
+    cap = min(1.0, ctx.cap)
+    for x in (x_free, x_con):
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
+        assert constraint_value(x, ctx.c_weights) <= cap + FEAS_TOL
+    if not caught:
+        assert consistency_slack(x_con, ctx, cc) >= -SLACK_TOL
+    free_obj = pseudo_cost_objective(x_free, ctx)
+    con_obj = pseudo_cost_objective(x_con, ctx)
+    assert con_obj >= free_obj - 1e-12 * ctx.params.U
+    if consistency_slack(x_free, ctx, cc) >= 0.0:
+        assert con_obj == free_obj
