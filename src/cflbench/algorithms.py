@@ -217,18 +217,21 @@ class _AgnosticPlayer(_PlayerBase):
 
 
 class _MoveToMinimizerPlayer(_PlayerBase):
-    """Buys 1/T of the demand per step in that step's cheapest dimension,
-    hopping dimensions as the minimizer moves."""
+    """Buys 1/T of the demand per step (the rest at the last step) in that
+    step's cheapest dimension, hopping dimensions as the minimizer moves.
+    Where that dimension's box fills first, the next cheapest takes the
+    rest of the step's share."""
 
     def decide(self, f_t: np.ndarray) -> np.ndarray:
         f_t = np.asarray(f_t, dtype=float)
         x = np.zeros(self.d)
         if self.z < 1.0 - FEAS_TOL:
-            k = int(np.argmin(f_t))
-            if self.t == self.T:
-                x[k] = min(1.0, (1.0 - self.z) / self.c_weights[k])
-            else:
-                x[k] = min(1.0, 1.0 / (self.T * self.c_weights[k]))
+            share = 1.0 - self.z if self.t == self.T else 1.0 / self.T
+            for k in np.argsort(f_t, kind="stable"):
+                x[k] = min(1.0, share / self.c_weights[k])
+                share -= x[k] * self.c_weights[k]
+                if share <= FEAS_TOL:
+                    break
         return self._advance(x)
 
 
@@ -391,8 +394,14 @@ def run_clip(
                 need = 1.0 - st.z
                 follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
             x = np.clip(a_t * follow_ratio, 0.0, 1.0)
+            # The advice may buy more in one step than this run has left
+            # to buy: scale onto the residual cap, as the solver steps do.
+            used = constraint_value(x, instance.c_weights)
+            if used > 1.0 - st.z + FEAS_TOL:
+                x *= (1.0 - st.z) / used
+                used = 1.0 - st.z
             max_later = (instance.T - t) * float(np.max(instance.c_weights))
-            shortfall = (1.0 - st.z - constraint_value(x, instance.c_weights)) - max_later
+            shortfall = (1.0 - st.z - used) - max_later
             if shortfall > FEAS_TOL:
                 x = _top_up(x, shortfall, instance.c_weights)
         else:

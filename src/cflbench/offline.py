@@ -1,9 +1,15 @@
 """Offline reference solutions.
 
-The hindsight problem is a linear program: box variables per step, auxiliary
-variables for the movement magnitudes (including the forced returns to the
-origin at both ends), and one covering constraint on total utilization.
-scipy's HiGHS backend solves it exactly for the sizes this package works at.
+The hindsight optimum is solved exactly without an LP solver.  Pricing the
+one covering constraint with a multiplier splits the problem into one
+interval-selection problem per coordinate, whose 0/1 optimum a two-state
+dynamic program finds in O(T); an exact search over the breakpoints of the
+concave dual then finds the multiplier, and the mix of the two plans on
+either side of it that covers exactly one unit is optimal.  The dual value
+certifies every solution.
+
+The cost-maximizing plan behind the anti-advice is two linear programs
+solved by scipy's HiGHS backend.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .core import (
+    FEAS_TOL,
     DomainError,
     Instance,
     NumericError,
@@ -30,6 +37,10 @@ __all__ = [
     "solve_worst",
     "make_advice",
 ]
+
+# Dual search steps before solve_opt gives up; each is one dynamic program.
+# Generator instances settle in at most about ten.
+_MAX_DUAL_SOLVES = 100
 
 
 @dataclass(frozen=True)
@@ -54,86 +65,122 @@ class AdviceConfig:
             raise DomainError(f"xi={self.xi} outside [0, 1]")
 
 
-def _movement_rows(T: int, d: int):
-    """Constraint rows encoding s_t >= |x_t - x_{t-1}| with zero boundary
-    decisions, as two inequalities per movement variable."""
-    n_x = T * d
-    n_s = (T + 1) * d
-    rows = []
-    cols = []
-    vals = []
-    r = 0
-    for t in range(T + 1):
-        for i in range(d):
-            s_col = n_x + t * d + i
-            cur = t * d + i          # x_{t+1} in 1-based step terms
-            prev = (t - 1) * d + i
-            # x_t - x_{t-1} - s_t <= 0
-            if t < T:
-                rows.append(r); cols.append(cur); vals.append(1.0)
-            if t > 0:
-                rows.append(r); cols.append(prev); vals.append(-1.0)
-            rows.append(r); cols.append(s_col); vals.append(-1.0)
-            r += 1
-            # x_{t-1} - x_t - s_t <= 0
-            if t < T:
-                rows.append(r); cols.append(cur); vals.append(-1.0)
-            if t > 0:
-                rows.append(r); cols.append(prev); vals.append(1.0)
-            rows.append(r); cols.append(s_col); vals.append(-1.0)
-            r += 1
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(r, n_x + n_s))
-    return A, np.zeros(r)
+@dataclass(frozen=True)
+class _Plan:
+    """A 0/1 plan with the two numbers that fix its Lagrangian line
+    ``cost + lam * (1 - coverage)``."""
+
+    on: np.ndarray  # bool, shape (T, d)
+    cost: float
+    coverage: float
 
 
-def _extract(instance: Instance, res, stage: str) -> OfflineSolution:
-    if not res.success:
-        raise NumericError(f"{stage} LP failed: {res.message}")
-    T, d = instance.T, instance.d
-    xs = np.clip(res.x[: T * d].reshape(T, d), 0.0, 1.0)
-    traj = make_trajectory(instance, xs)
-    stats = {
-        "status": int(res.status),
-        "message": str(res.message),
-        "iterations": int(getattr(res, "nit", -1)),
-        "stage": stage,
-    }
-    return OfflineSolution(
-        decisions=xs,
-        objective=traj.total_cost,
-        trajectory=traj,
-        solver_stats=stats,
+def _plan(instance: Instance, on: np.ndarray) -> _Plan:
+    # Each maximal run of on-steps is entered and left once.
+    runs = on[0] + np.sum(on[1:] & ~on[:-1], axis=0)
+    return _Plan(
+        on=on,
+        cost=float(np.sum(instance.costs, where=on)) + 2.0 * float(instance.w_weights @ runs),
+        coverage=float(np.sum(on, axis=0) @ instance.c_weights),
     )
+
+
+def _lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _Plan]:
+    """Dual value g(lam) and a 0/1 plan attaining it.
+
+    With the covering constraint priced at ``lam`` the problem splits by
+    coordinate into ``min sum_t (f_t - lam c) x_t + w sum |dx|`` over
+    [0, 1]^T, zero at both ends, whose optimum is a set of on-intervals.
+    A two-state (off/on) dynamic program finds it.  It is run on the
+    difference ``diff[t]`` of the best costs of ending step t on and off,
+    which obeys ``diff[t] = clip(diff[t-1], -w, w) + f_t - lam c`` (vectorized
+    over the coordinates); the off state's cost grows by
+    ``min(0, diff[t] + w)`` per step, the final move home included.  Ties go
+    to the off state.
+    """
+    gain = instance.costs - lam * instance.c_weights
+    w = instance.w_weights
+    T, d = gain.shape
+    diff = np.empty((T, d))
+    diff[0] = w + gain[0]
+    for t in range(1, T):
+        np.add(np.minimum(np.maximum(diff[t - 1], -w), w), gain[t], out=diff[t])
+    value = lam + float(np.sum(np.minimum(diff + w, 0.0)))
+    # Read the plan back: step t is on when diff[t] < -w (the on state is
+    # best there whatever follows), off when diff[t] >= w, and otherwise
+    # in the state of step t + 1; the last step is settled by the move home.
+    on_here = diff < -w
+    settled = on_here | (diff >= w)
+    settled[-1] = True
+    steps = np.where(settled, np.arange(T)[:, None], T)
+    source = np.minimum.accumulate(steps[::-1], axis=0)[::-1]
+    return value, _plan(instance, on_here[source, np.arange(d)])
 
 
 def solve_opt(instance: Instance) -> OfflineSolution:
     """Hindsight-optimal trajectory: minimal hitting + switching cost subject
-    to the covering constraint."""
+    to the covering constraint.
+
+    Solved exactly through the Lagrangian dual of the covering constraint.
+    The dual ``g(lam) = min_x [cost(x) + lam (1 - coverage(x))]`` is concave
+    and piecewise linear; every 0/1 plan contributes the line
+    ``cost + lam (1 - coverage)`` and ``g`` is their lower envelope.  The
+    search keeps one plan below full coverage (rising line) and one above
+    (falling line), starting from the empty plan and the all-on plan,
+    evaluates ``g`` by the dynamic program where the two lines cross, and
+    either stops there, when ``g`` meets the lines (that crossing is the
+    maximizer ``lam*``), or replaces the side given by the new plan's
+    coverage.  Both bracketing plans minimize the Lagrangian at ``lam*``,
+    so their mix with exactly full coverage is optimal.  The dual value at
+    ``lam*`` certifies it: it must equal the returned trajectory's cost.
+
+    ``solver_stats["iterations"]`` counts dynamic-program solves.
+    """
     T, d = instance.T, instance.d
-    n_x, n_s = T * d, (T + 1) * d
-    cost = np.concatenate([
-        instance.costs.ravel(),
-        np.tile(instance.w_weights, T + 1),
-    ])
-    A_move, b_move = _movement_rows(T, d)
-    cover = sparse.csr_matrix(
-        (np.tile(-instance.c_weights, T),
-         (np.zeros(n_x, dtype=int), np.arange(n_x))),
-        shape=(1, n_x + n_s),
-    )
-    A = sparse.vstack([A_move, cover], format="csr")
-    b = np.concatenate([b_move, [-1.0]])
-    bounds = [(0.0, 1.0)] * n_x + [(0.0, None)] * n_s
-    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    sol = _extract(instance, res, "opt")
-    lp_val = float(res.fun)
-    if abs(lp_val - sol.objective) > 1e-7 * max(1.0, abs(sol.objective)):
+    lo = _plan(instance, np.zeros((T, d), dtype=bool))
+    hi = _plan(instance, np.ones((T, d), dtype=bool))
+    if hi.coverage < 1.0 - FEAS_TOL:
         raise NumericError(
-            f"LP value {lp_val} disagrees with trajectory cost {sol.objective}"
+            f"covering constraint unreachable: T * sum(c) = {hi.coverage} < 1"
         )
-    if sol.trajectory.final_utilization < 1.0 - 1e-9:
+    c_max = float(np.max(instance.c_weights))
+    bound = hi.cost
+    solves = 0
+    # An all-on plan that covers no more than the demand is the only
+    # feasible plan.
+    while hi.coverage > 1.0:
+        if solves == _MAX_DUAL_SOLVES:
+            raise NumericError(f"dual search did not settle in {solves} solves")
+        lam = (hi.cost - lo.cost) / (hi.coverage - lo.coverage)
+        line = lo.cost + lam * (1.0 - lo.coverage)
+        bound, plan = _lagrangian_plan(instance, lam)
+        solves += 1
+        # g meets the bracket lines at lam, which is then the dual maximizer.
+        # The dynamic program's rounding grows with the size of its terms
+        # f - lam c.  Where both lines are steep, rounding in lam alone can
+        # keep g below them; the program returning a bracket plan shows the
+        # meeting then.
+        met = bound >= line - 1e-12 * (abs(line) + lam * c_max)
+        if met or (plan.cost, plan.coverage) in ((lo.cost, lo.coverage), (hi.cost, hi.coverage)):
+            break
+        if plan.coverage < 1.0:
+            lo = plan
+        else:
+            hi = plan
+    theta = (1.0 - lo.coverage) / (hi.coverage - lo.coverage) if hi.coverage > 1.0 else 1.0
+    xs = theta * hi.on + (1.0 - theta) * lo.on
+    traj = make_trajectory(instance, xs)
+    cost = traj.total_cost
+    if abs(bound - cost) > 1e-7 * max(1.0, abs(cost)):
+        raise NumericError(f"dual bound {bound} disagrees with trajectory cost {cost}")
+    if traj.final_utilization < 1.0 - 1e-9:
         raise NumericError("optimal trajectory failed the covering constraint")
-    return sol
+    return OfflineSolution(
+        decisions=xs,
+        objective=cost,
+        trajectory=traj,
+        solver_stats={"iterations": solves, "stage": "opt"},
+    )
 
 
 def solve_worst(instance: Instance) -> OfflineSolution:
@@ -174,8 +221,14 @@ def solve_worst(instance: Instance) -> OfflineSolution:
         bounds=bounds,
         method="highs",
     )
-    final = res2 if res2.success else res
-    xs = np.clip(final.x.reshape(T, d), 0.0, 1.0)
+    # HiGHS can accept a tie-break plan that trades the hitting slack for a
+    # coverage shortfall within its own tolerance; advice must cover.
+    final = res
+    xs = np.clip(res.x.reshape(T, d), 0.0, 1.0)
+    if res2.success:
+        xs2 = np.clip(res2.x.reshape(T, d), 0.0, 1.0)
+        if float(np.sum(xs2 @ instance.c_weights)) >= 1.0 - FEAS_TOL:
+            final, xs = res2, xs2
     traj = make_trajectory(instance, xs)
     stats = {
         "status": int(final.status),

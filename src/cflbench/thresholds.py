@@ -188,7 +188,7 @@ def compute_gamma(L: float, U: float, beta: float, epsilon: float) -> float:
         arg = (U - L - 2.0 * beta) / (U - U / g - 2.0 * beta)
         return g - epsilon - U / L + (g / L) * (U - L) * math.log(arg)
 
-    lo = U / (U - 2.0 * beta) + 1e-12
+    lo_start = lo = U / (U - 2.0 * beta) + 1e-12
     hi = U / L
     # F -> +inf at the lower bracket edge and F(U/L) = -epsilon < 0.
     for _ in range(_BISECT_MAX_ITER):
@@ -199,10 +199,17 @@ def compute_gamma(L: float, U: float, beta: float, epsilon: float) -> float:
             hi = mid
         if hi - lo <= _BISECT_TOL * max(1.0, lo):
             break
-    gamma = 0.5 * (lo + hi)
-    if abs(F(gamma)) > 1e-9 * (U / L):
-        raise NumericError(f"gamma bisection residual too large: F({gamma}) = {F(gamma)}")
-    return gamma
+    # Certified when F changes sign across a bracket no wider than the
+    # tolerance.  A residual test cannot work here: next to the pole F is
+    # too steep for any point of the bracket to make it small.
+    f_lo = F(lo) if lo != lo_start else math.inf
+    f_hi = F(hi)
+    if not f_lo > 0.0 >= f_hi or hi - lo > _BISECT_TOL * max(1.0, lo):
+        raise NumericError(
+            f"gamma bisection did not certify a root: F({lo}) = {f_lo}, "
+            f"F({hi}) = {f_hi}"
+        )
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

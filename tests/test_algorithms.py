@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import valid_instances
 
 from cflbench.algorithms import (
     BaselineConfig,
@@ -122,6 +125,38 @@ def test_all_players_feasible():
             traj = run(inst)
             assert not trajectory_violations(inst, traj.decisions)
             assert traj.final_utilization >= 1.0 - 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_instances(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.5, 2.0, 10.0]))
+def test_every_player_feasible_on_random_instances(inst, xi, eps):
+    advice = make_advice(inst, AdviceConfig(xi=xi))
+    runs = (run_alg1, run_agnostic, run_move_to_minimizer, run_simple_threshold,
+            lambda i: run_clip(i, advice, eps), lambda i: run_baseline(i, advice, eps))
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            traj = run(inst)
+        assert not trajectory_violations(inst, traj.decisions)
+
+
+def test_move_to_minimizer_spills_past_a_full_box():
+    # The cheapest dimension holds only 0.4 of the one step's demand.
+    inst = make_instance(d=2, T=1, c=[0.4, 1.0], costs=[[0.8, 5.0]])
+    traj = run_move_to_minimizer(inst)
+    assert traj.decisions[0].tolist() == pytest.approx([1.0, 0.6])
+    assert not trajectory_violations(inst, traj.decisions)
+
+
+def test_clip_compulsory_step_keeps_the_cap():
+    # Following the advice in the compulsory window would buy 0.75 when
+    # only 0.6 is left to buy.
+    inst = make_instance(d=2, T=2, c=[0.6, 0.5], w=[0.5, 0.25],
+                         costs=[[3.0, 1.0], [2.0, 4.0]])
+    advice = np.array([[0.0, 0.5], [0.75, 0.6]])
+    traj = run_clip(inst, advice, epsilon=2.0)
+    assert not trajectory_violations(inst, traj.decisions)
+    assert traj.final_utilization == pytest.approx(1.0, abs=1e-12)
 
 
 def test_agnostic_picks_cheapest_rate():

@@ -1,9 +1,15 @@
 """Core value types, cost accounting, validation, serialization."""
 
+import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import valid_instances
 
 from cflbench.core import (
     CflError,
@@ -200,6 +206,22 @@ def test_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.costs, ins.costs)
     # file is plain json
     json.loads(path.read_text())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(valid_instances(), st.one_of(st.none(), st.integers(0, 2**63)))
+def test_instance_file_round_trips_exactly(inst, seed):
+    inst = dataclasses.replace(inst, seed=seed, generator_config={"index": 3, "sigma": 0.1})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        save_instance(inst, path)
+        back = load_instance(path)
+    for field in dataclasses.fields(Instance):
+        a, b = getattr(inst, field.name), getattr(back, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
 
 
 def test_serialization_rejects_bad_doc():

@@ -1,17 +1,24 @@
-"""Hindsight LP solutions checked against exhaustive tiny-grid search."""
+"""Hindsight solutions checked against exhaustive tiny-grid search and
+against the hindsight LP solved by HiGHS."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy import sparse
+from scipy.optimize import linprog
+from strategies import valid_instances
 
 from cflbench.core import (
     Instance,
+    NumericError,
     constraint_value,
     make_trajectory,
     trajectory_cost,
+    trajectory_violations,
 )
-from cflbench.instances import GeneratorConfig, generate_synthetic
+from cflbench.instances import GeneratorConfig, MalInstance, generate_synthetic, mal_to_cfl
 from cflbench.offline import AdviceConfig, make_advice, solve_opt, solve_worst
 
 
@@ -162,3 +169,137 @@ def test_advice_config_validation():
         AdviceConfig(xi=-0.1)
     with pytest.raises(DomainError):
         AdviceConfig(xi=1.5)
+
+
+def _movement_rows(T: int, d: int):
+    """Constraint rows encoding s_t >= |x_t - x_{t-1}| with zero boundary
+    decisions, as two inequalities per movement variable."""
+    n_x = T * d
+    n_s = (T + 1) * d
+    rows = []
+    cols = []
+    vals = []
+    r = 0
+    for t in range(T + 1):
+        for i in range(d):
+            s_col = n_x + t * d + i
+            cur = t * d + i          # x_{t+1} in 1-based step terms
+            prev = (t - 1) * d + i
+            # x_t - x_{t-1} - s_t <= 0
+            if t < T:
+                rows.append(r); cols.append(cur); vals.append(1.0)
+            if t > 0:
+                rows.append(r); cols.append(prev); vals.append(-1.0)
+            rows.append(r); cols.append(s_col); vals.append(-1.0)
+            r += 1
+            # x_{t-1} - x_t - s_t <= 0
+            if t < T:
+                rows.append(r); cols.append(cur); vals.append(-1.0)
+            if t > 0:
+                rows.append(r); cols.append(prev); vals.append(1.0)
+            rows.append(r); cols.append(s_col); vals.append(-1.0)
+            r += 1
+    A = sparse.csr_matrix((vals, (rows, cols)), shape=(r, n_x + n_s))
+    return A, np.zeros(r)
+
+
+def lp_opt(instance):
+    """Reference hindsight optimum: box variables per step, auxiliary
+    variables for the movement magnitudes (the returns to the origin at both
+    ends included) and the covering constraint, solved by HiGHS."""
+    T, d = instance.T, instance.d
+    n_x, n_s = T * d, (T + 1) * d
+    cost = np.concatenate([
+        instance.costs.ravel(),
+        np.tile(instance.w_weights, T + 1),
+    ])
+    A_move, b_move = _movement_rows(T, d)
+    cover = sparse.csr_matrix(
+        (np.tile(-instance.c_weights, T),
+         (np.zeros(n_x, dtype=int), np.arange(n_x))),
+        shape=(1, n_x + n_s),
+    )
+    A = sparse.vstack([A_move, cover], format="csr")
+    b = np.concatenate([b_move, [-1.0]])
+    bounds = [(0.0, 1.0)] * n_x + [(0.0, None)] * n_s
+    # HiGHS's default 1e-7 tolerances let it stop at a vertex up to 1e-9
+    # worse than the optimum; the oracle runs at the tightest it accepts.
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=tight)
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def assert_matches_lp(inst):
+    sol = solve_opt(inst)
+    ref = lp_opt(inst)
+    assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert not trajectory_violations(inst, sol.decisions)
+    assert sol.solver_stats["stage"] == "opt"
+    assert isinstance(sol.solver_stats["iterations"], int)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valid_instances())
+def test_opt_matches_lp_on_random_instances(inst):
+    # d = 1, T = 1, non-unit c, L == U with w = 0 and beta a hair under
+    # (U - L)/2 all come from the strategy.
+    assert_matches_lp(inst)
+
+
+def test_opt_matches_lp_on_star_reductions():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        T = int(rng.integers(1, 6))
+        w = np.concatenate([[rng.uniform(0.0, 1.0)], rng.uniform(0.0, 3.0, d)])
+        costs = np.concatenate(
+            [np.zeros((T, 1)), rng.uniform(1.0, 10.0, (T, d))], axis=1
+        )
+        mal = MalInstance(T=T, L=1.0, U=10.0, weights=w,
+                          c_weights=np.concatenate([[0.0], np.ones(d)]), costs=costs)
+        assert_matches_lp(mal_to_cfl(mal))
+
+
+def test_opt_matches_lp_on_long_horizon():
+    rng = np.random.default_rng(32)
+    T, d = 1000, 10
+    inst = Instance(d=d, T=T, L=1.0, U=250.0, c_weights=np.ones(d),
+                    w_weights=rng.uniform(0.0, 50.0, d),
+                    costs=rng.uniform(1.0, 250.0, (T, d)))
+    assert_matches_lp(inst)
+
+
+@pytest.mark.parametrize("T, L, c", [
+    # The all-on line is so steep that rounding in lambda alone keeps the
+    # dual below it: the search stops on the program returning a bracket plan.
+    (4380, 0.37, [1.0] * 10),
+    # Rounding in f - lambda c makes tied plans look better than the
+    # bracket lines by a few ulp: the search stops on the tolerance.
+    (6, 1.8372251349113349,
+     [0.6754981774398402, 0.3078322241709065, 0.4238343324766878, 0.7506504510900079]),
+])
+def test_opt_flat_prices(T, L, c):
+    # With L == U every plan covering one unit costs L: all tie at lambda* = L.
+    c = np.array(c)
+    inst = Instance(d=c.size, T=T, L=L, U=L, c_weights=c, w_weights=np.zeros(c.size),
+                    costs=np.tile(L * c, (T, 1)))
+    sol = solve_opt(inst)
+    assert sol.objective == pytest.approx(L, rel=1e-12)
+    assert not trajectory_violations(inst, sol.decisions)
+
+
+def test_opt_rejects_unreachable_cover():
+    # Three steps of c = 0.3 cover at most 0.9.
+    inst = make_instance(d=1, T=3, c=[0.3], costs=[[0.6], [0.9], [1.2]], U=5.0)
+    with pytest.raises(NumericError):
+        solve_opt(inst)
+
+
+def test_worst_covers_when_every_step_is_needed():
+    # T * c = 1: only the all-on plan covers.  HiGHS accepts a tie-break
+    # plan short of that by 2e-9, which advice checks would refuse.
+    inst = make_instance(d=1, T=2, L=0.5, U=0.5, c=[0.5], costs=[[0.25], [0.25]])
+    worst = solve_worst(inst)
+    assert worst.trajectory.final_utilization >= 1.0 - 1e-9
+    assert not trajectory_violations(inst, worst.decisions)

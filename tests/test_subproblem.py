@@ -436,9 +436,8 @@ def step_contexts(draw):
     L = draw(st.floats(0.5, 5.0))
     U = L * draw(st.floats(1.5, 400.0))
     # Threshold: augmented (clip's steps) or plain (alg1's), and beta
-    # anywhere below its bound, including a hair under (U - L) / 2.
-    # compute_gamma cannot certify its root within ~1e-4 of that bound, so
-    # edge contexts price with the plain threshold.
+    # anywhere below its bound, or a hair under (U - L) / 2 with the
+    # augmented threshold.
     kind = draw(st.sampled_from(["augmented", "plain", "edge"]))
     beta = (U - L) / 2.0 * (1.0 - 1e-9 if kind == "edge" else draw(st.floats(0.0, 0.99)))
     c = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
@@ -455,7 +454,7 @@ def step_contexts(draw):
     alpha = compute_alpha(L, U, float(np.max(w / c)))
     eps = max(alpha - 1.0, 1e-9) * draw(st.floats(0.01, 1.0))
     params = make_threshold_params(L, U, float(np.max(w / c)),
-                                   epsilon=min(eps, alpha - 1.0) if kind == "augmented" else None)
+                                   epsilon=min(eps, alpha - 1.0) if kind != "plain" else None)
     ctx = StepContext(f_t=f, x_prev=x_prev, z=p, cap=1.0 - z_true,
                       c_weights=c, w_weights=w, params=params)
     cc = ConsistencyContext(

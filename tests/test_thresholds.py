@@ -166,6 +166,43 @@ def test_gamma_monotone_in_epsilon():
     assert all(g1 >= g2 - 1e-9 for g1, g2 in zip(gs[:-1], gs[1:]))
 
 
+def gamma_oracle(L, U, b, eps):
+    """Plain bisection on the gamma equation's sign, 300 halvings."""
+    lo, hi = U / (U - 2 * b), U / L
+
+    def F(g):
+        arg = (U - L - 2 * b) / (U - U / g - 2 * b)
+        return g - eps - U / L + (g / L) * (U - L) * math.log(arg)
+
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if F(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("share", [1.0 - 1e-9, 1.0 - 1e-4, 1.0 - 1e-2])
+def test_gamma_certified_next_to_beta_bound(share):
+    # F is too steep near its pole for a residual test to pass here; the
+    # bisection's sign change is the certificate.
+    rng = np.random.default_rng(int(share * 1e9) % 1000)
+    for _ in range(200):
+        L = float(rng.uniform(0.3, 5.0))
+        U = L * float(rng.uniform(1.2, 400.0))
+        b = share * (U - L) / 2.0
+        a = compute_alpha(L, U, b)
+        eps = float(rng.uniform(0.01, 1.0)) * (a - 1.0)
+        g = compute_gamma(L, U, b, eps)
+        assert U / (U - 2 * b) < g <= U / L
+        assert g == pytest.approx(gamma_oracle(L, U, b, eps), rel=1e-9)
+        params = make_threshold_params(L, U, b, epsilon=eps)
+        assert params.gamma_eps == g
+
+
 def test_gamma_domain():
     L, U, b = 1.0, 250.0, 50.0
     a = compute_alpha(L, U, b)
