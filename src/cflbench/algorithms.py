@@ -34,9 +34,10 @@ from .core import (
 from .subproblem import (
     ConsistencyContext,
     StepContext,
+    _constrained_with_free,
     fill_to_utilization,
     minimize_pseudo_cost,
-    minimize_pseudo_cost_constrained,
+    minimize_pseudo_cost_constrained,  # noqa: F401  (bench/layers.py wraps this name)
 )
 from .thresholds import ThresholdParams, make_threshold_params
 
@@ -326,11 +327,12 @@ def _check_advice(instance: Instance, advice: np.ndarray) -> np.ndarray:
     return np.clip(advice, 0.0, 1.0)
 
 
-def _top_up(x: np.ndarray, amount: float, c_weights: np.ndarray) -> np.ndarray:
-    """Raise x by ``amount`` of utilization, largest c weight first."""
+def _top_up(x: np.ndarray, amount: float, f_t: np.ndarray,
+            c_weights: np.ndarray) -> np.ndarray:
+    """Raise x by ``amount`` of utilization, cheapest price per unit of
+    utilization ``f_t / c`` first, lowest index on ties."""
     x = x.copy()
-    order = np.lexsort((np.arange(x.shape[0]), -c_weights))
-    for i in order:
+    for i in np.argsort(f_t / c_weights, kind="stable"):
         if amount <= FEAS_TOL:
             break
         take = min(1.0 - x[i], amount / c_weights[i])
@@ -403,7 +405,7 @@ def run_clip(
             max_later = (instance.T - t) * float(np.max(instance.c_weights))
             shortfall = (1.0 - st.z - used) - max_later
             if shortfall > FEAS_TOL:
-                x = _top_up(x, shortfall, instance.c_weights)
+                x = _top_up(x, shortfall, f_t, instance.c_weights)
         else:
             ctx = StepContext(
                 f_t=f_t,
@@ -422,8 +424,7 @@ def run_clip(
                 z_prev=st.z,
                 epsilon=epsilon,
             )
-            x = minimize_pseudo_cost_constrained(ctx, cc)
-            x_bar = minimize_pseudo_cost(ctx)
+            x, x_bar = _constrained_with_free(ctx, cc)
             st.p += min(
                 constraint_value(x_bar, instance.c_weights),
                 constraint_value(x, instance.c_weights),

@@ -259,15 +259,13 @@ def compulsory_start(t: int, z: float, instance: Instance) -> bool:
 
     ``instance`` is an Instance or anything carrying its ``T`` and
     ``c_weights``, such as an incremental player.  True once the steps
-    remaining after the next one can no longer close the residual
-    constraint even at maximal throughput, i.e.
-    ``(T - (t + 1)) * c^i < 1 - z`` for every coordinate.  The window is
-    deliberately conservative by one step so a full step of slack remains
-    when filling begins.
+    remaining after this one can no longer close the residual constraint
+    even at maximal throughput, i.e. ``(T - t) * c^i < 1 - z`` for every
+    coordinate: from then on, step t must buy what the later steps cannot.
     """
     if not 1 <= t <= instance.T:
         raise DomainError(f"step index {t} outside 1..{instance.T}")
-    return bool(np.all((instance.T - (t + 1)) * instance.c_weights < 1.0 - z))
+    return bool(np.all((instance.T - t) * instance.c_weights < 1.0 - z))
 
 
 # Serialization: one JSON document per instance.  Field names are part of the

@@ -8,8 +8,9 @@ concave dual then finds the multiplier, and the mix of the two plans on
 either side of it that covers exactly one unit is optimal.  The dual value
 certifies every solution.
 
-The cost-maximizing plan behind the anti-advice is two linear programs
-solved by scipy's HiGHS backend.
+The cost-maximizing plan behind the anti-advice is a fractional knapsack,
+solved exactly by sorting the items by price per unit of utilization.
+Neither solver needs scipy.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import (
     FEAS_TOL,
@@ -186,56 +185,44 @@ def solve_opt(instance: Instance) -> OfflineSolution:
 def solve_worst(instance: Instance) -> OfflineSolution:
     """Cost-maximizing feasible plan, the anti-advice.
 
-    Maximizes hitting cost over plans using exactly the required
-    utilization, then, among those, prefers support that alternates
-    dimension parity across consecutive steps so the plan also switches
-    expensively.  The reported objective is the returned trajectory's full
-    cost.
+    Maximizes hitting cost over plans in the box that use exactly one unit
+    of utilization: a fractional knapsack, solved exactly by sorting.  The
+    items ``(t, i)`` are taken in descending price per unit of utilization
+    ``f_t^i / c^i``, each whole, and only the one that crosses full
+    coverage is taken in part.  Among equally priced items the plan prefers
+    even parity of ``t + i`` (so consecutive steps alternate dimensions and
+    the plan also switches expensively), then the larger switching weight,
+    then the earlier item.  Every step's utilization is at most the plan's
+    total, one unit.  The reported objective is the returned trajectory's
+    full cost.
+
+    ``solver_stats["hitting_optimum"]`` is the maximal hitting cost;
+    ``solver_stats["iterations"]`` is 0, as no iterative solver runs.
     """
     T, d = instance.T, instance.d
-    n_x = T * d
-    hit = instance.costs.ravel()
-    cover = sparse.csr_matrix(
-        (np.tile(instance.c_weights, T),
-         (np.zeros(n_x, dtype=int), np.arange(n_x))),
-        shape=(1, n_x),
-    )
-    bounds = [(0.0, 1.0)] * n_x
-    res = linprog(-hit, A_eq=cover, b_eq=[1.0], bounds=bounds, method="highs")
-    if not res.success:
-        raise NumericError(f"worst-case LP failed: {res.message}")
-    h_star = float(hit @ res.x)
-
-    parity = np.array(
-        [1.0 if (t + i) % 2 == 0 else -1.0 for t in range(T) for i in range(d)]
-    )
-    keep = sparse.csr_matrix(
-        (-hit, (np.zeros(n_x, dtype=int), np.arange(n_x))), shape=(1, n_x)
-    )
-    res2 = linprog(
-        -parity,
-        A_ub=keep,
-        b_ub=[-(h_star - 1e-9 * max(1.0, abs(h_star)))],
-        A_eq=cover,
-        b_eq=[1.0],
-        bounds=bounds,
-        method="highs",
-    )
-    # HiGHS can accept a tie-break plan that trades the hitting slack for a
-    # coverage shortfall within its own tolerance; advice must cover.
-    final = res
-    xs = np.clip(res.x.reshape(T, d), 0.0, 1.0)
-    if res2.success:
-        xs2 = np.clip(res2.x.reshape(T, d), 0.0, 1.0)
-        if float(np.sum(xs2 @ instance.c_weights)) >= 1.0 - FEAS_TOL:
-            final, xs = res2, xs2
+    c = np.tile(instance.c_weights, T)
+    rate = instance.costs.ravel() / c
+    steps, dims = np.divmod(np.arange(T * d), d)
+    # lexsort is stable and its last key is the primary one, so the item
+    # index settles what the keys leave tied.
+    order = np.lexsort((-np.tile(instance.w_weights, T), (steps + dims) % 2, -rate))
+    covered = np.cumsum(c[order])
+    if covered[-1] < 1.0 - FEAS_TOL:
+        raise NumericError(
+            f"covering constraint unreachable: T * sum(c) = {covered[-1]} < 1"
+        )
+    k = int(np.searchsorted(covered, 1.0))
+    x = np.zeros(T * d)
+    x[order[:k]] = 1.0
+    if k < T * d:
+        before = covered[k - 1] if k else 0.0
+        x[order[k]] = min(1.0, (1.0 - before) / c[order[k]])
+    xs = x.reshape(T, d)
     traj = make_trajectory(instance, xs)
     stats = {
-        "status": int(final.status),
-        "message": str(final.message),
-        "iterations": int(getattr(final, "nit", -1)),
+        "iterations": 0,
         "stage": "worst",
-        "hitting_optimum": h_star,
+        "hitting_optimum": float(instance.costs.ravel() @ x),
     }
     return OfflineSolution(
         decisions=xs, objective=traj.total_cost, trajectory=traj, solver_stats=stats

@@ -383,10 +383,18 @@ def minimize_pseudo_cost_constrained(ctx: StepContext, cc: ConsistencyContext) -
       slack is concave along the segment between them, so the secant
       through their slacks gives a consistent point.
     """
-    x_lo = _minimize(ctx)
+    return _constrained_with_free(ctx, cc)[0]
+
+
+def _constrained_with_free(
+    ctx: StepContext, cc: ConsistencyContext
+) -> tuple[np.ndarray, np.ndarray]:
+    """``minimize_pseudo_cost_constrained`` together with the free minimizer
+    it starts from, for callers that need both."""
+    x_free = x_lo = _minimize(ctx)
     slack_lo = consistency_slack(x_lo, ctx, cc)
     if slack_lo >= 0.0:
-        return x_lo
+        return x_lo, x_free
     x_hi = _minimize(ctx, 1.0, cc)
     slack_hi = consistency_slack(x_hi, ctx, cc)
     if slack_hi < -SLACK_TOL:
@@ -394,14 +402,14 @@ def minimize_pseudo_cost_constrained(ctx: StepContext, cc: ConsistencyContext) -
             "consistency constraint infeasible at every utilization level; "
             "returning truncated advice",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return _within_cap(ctx, cc.a_t)
+        return _within_cap(ctx, cc.a_t), x_free
 
     # Within SLACK_TOL of infeasible, aim for the least violation there is.
     target = min(0.0, slack_hi)
     if slack_lo >= target:
-        return x_lo
+        return x_lo, x_free
     s_lo, s_hi = 0.0, 1.0
     for _ in range(_BISECT_STEPS):
         s = 0.5 * (s_lo + s_hi)
@@ -425,7 +433,7 @@ def minimize_pseudo_cost_constrained(ctx: StepContext, cc: ConsistencyContext) -
             break
     else:
         x = x_hi
-    return _within_cap(ctx, x)
+    return _within_cap(ctx, x), x_free
 
 
 def grid_oracle(

@@ -26,8 +26,8 @@ from cflbench.core import (
     trajectory_violations,
 )
 from cflbench.instances import GeneratorConfig, generate_synthetic, make_inactive_advice
-from cflbench.offline import AdviceConfig, make_advice, solve_opt
-from cflbench.thresholds import compute_alpha
+from cflbench.offline import AdviceConfig, make_advice, solve_opt, solve_worst
+from cflbench.thresholds import compute_alpha, compute_gamma
 
 
 def make_instance(d=2, T=3, L=1.0, U=10.0, c=None, w=None, costs=None):
@@ -92,7 +92,7 @@ def test_alg1_flat_expensive_waits_for_window():
     inst = make_instance(d=1, T=6, U=10.0, costs=np.full((6, 1), 10.0))
     traj = run_alg1(inst)
     assert traj.total_cost == pytest.approx(10.0)
-    assert traj.decisions[:, 0].tolist() == pytest.approx([0, 0, 0, 0, 1.0, 0])
+    assert traj.decisions[:, 0].tolist() == pytest.approx([0, 0, 0, 0, 0, 1.0])
 
 
 def test_alg1_cheap_first_step_buys_everything():
@@ -238,6 +238,41 @@ def test_clip_consistency_bound():
                 assert traj.total_cost <= (1 + eps) * adv_cost + 1e-6 * inst.U
                 assert not trajectory_violations(inst, traj.decisions)
                 assert traj.final_utilization >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("seed, index, xi", [
+    # clip_gamma: one step before prices of 1, a window that opened a step
+    # early followed the anti-advice at price 250 (cost 323.91 > 292.0).
+    (1300225, 1, 1.0),
+    # clip_consistency: the early window, then a top-up into the dimension
+    # of largest c instead of the cheapest (198.95 > 184.14) ...
+    (900012, 1, 0.0),
+    # ... and with the window in place, a top-up at price 250 next to
+    # 225.4 (218.70 > 213.53).
+    (1900132, 1, 0.0),
+])
+def test_clip_bounds_in_the_compulsory_window(seed, index, xi):
+    inst = generate_synthetic(seed, index, GeneratorConfig())
+    opt = solve_opt(inst)
+    advice = make_advice(inst, AdviceConfig(xi=xi), opt=opt,
+                         worst=solve_worst(inst) if xi > 0.0 else None)
+    eps = 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cost = run_clip(inst, advice, epsilon=eps).total_cost
+    alpha = compute_alpha(inst.L, inst.U, inst.beta)
+    gamma = compute_gamma(inst.L, inst.U, inst.beta, min(eps, alpha - 1.0))
+    assert cost <= gamma * opt.objective + 1e-6 * inst.U
+    if xi == 0.0:
+        assert cost <= (1.0 + eps) * opt.objective + 1e-6 * inst.U
+
+
+def test_alg1_alpha_in_the_compulsory_window():
+    # A window one step early made alg1 buy everything at a high price one
+    # step before the cheapest one: ratio 95.72 against alpha 11.51.
+    inst = generate_synthetic(116571189400000, 10, GeneratorConfig(d=2, beta_nominal=0.0))
+    ratio = run_alg1(inst).total_cost / solve_opt(inst).objective
+    assert ratio <= compute_alpha(inst.L, inst.U, inst.beta) + 1e-6
 
 
 def test_clip_rejects_bad_epsilon():

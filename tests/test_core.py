@@ -170,12 +170,12 @@ def test_trajectory_violations_cover():
 
 
 def test_compulsory_start_examples():
-    assert compulsory_start(1, 0.0, make_instance(d=1, T=2)) is True
+    assert compulsory_start(1, 0.0, make_instance(d=1, T=2)) is False
     big = make_instance(d=24, T=24, costs=np.full((24, 24), 5.0))
     assert compulsory_start(1, 0.0, big) is False
     ins = make_instance(d=1, T=10, c=[0.4],
                         costs=np.full((10, 1), 2.0))
-    assert compulsory_start(8, 0.5, ins) is True
+    assert compulsory_start(8, 0.5, ins) is False
 
 
 def test_compulsory_start_monotone():

@@ -1,5 +1,5 @@
-"""Hindsight solutions checked against exhaustive tiny-grid search and
-against the hindsight LP solved by HiGHS."""
+"""Hindsight solutions and the anti-advice checked against exhaustive
+tiny-grid search and against their LPs solved by HiGHS."""
 
 import itertools
 
@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 from strategies import valid_instances
 
 from cflbench.core import (
+    FEAS_TOL,
     Instance,
     NumericError,
     constraint_value,
@@ -297,9 +298,83 @@ def test_opt_rejects_unreachable_cover():
 
 
 def test_worst_covers_when_every_step_is_needed():
-    # T * c = 1: only the all-on plan covers.  HiGHS accepts a tie-break
-    # plan short of that by 2e-9, which advice checks would refuse.
+    # T * c = 1: only the all-on plan covers; advice checks refuse a plan
+    # short of that by even 2e-9.
     inst = make_instance(d=1, T=2, L=0.5, U=0.5, c=[0.5], costs=[[0.25], [0.25]])
     worst = solve_worst(inst)
     assert worst.trajectory.final_utilization >= 1.0 - 1e-9
     assert not trajectory_violations(inst, worst.decisions)
+
+
+def lp_worst(instance):
+    """Reference hitting optimum of the anti-advice: the maximal hitting cost
+    over plans in the box covering exactly one unit, solved by HiGHS."""
+    c = np.tile(instance.c_weights, instance.T)
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(-instance.costs.ravel(), A_eq=c[None, :], b_eq=[1.0],
+                  bounds=(0.0, 1.0), method="highs", options=tight)
+    assert res.success, res.message
+    return -float(res.fun)
+
+
+def assert_worst_matches_lp(inst):
+    sol = solve_worst(inst)
+    xs = sol.decisions
+    ref = lp_worst(inst)
+    h = sol.solver_stats["hitting_optimum"]
+    assert abs(h - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert h == pytest.approx(float(np.sum(inst.costs * xs)), rel=1e-12)
+    assert abs(sol.trajectory.final_utilization - 1.0) <= FEAS_TOL
+    assert np.all(xs >= 0.0) and np.all(xs <= 1.0)
+    assert np.all(xs @ inst.c_weights <= 1.0 + FEAS_TOL)
+    assert sol.objective == trajectory_cost(inst, xs).total
+    assert sol.solver_stats["stage"] == "worst"
+    assert sol.solver_stats["iterations"] == 0
+    return sol
+
+
+def assert_ties_resolve_by_parity(inst, xs):
+    # Among items of equal price per unit (such as every price at U), an
+    # item ranked later by (parity of t + i odd, smaller w, later index) is
+    # bought only once every item ranked earlier is bought whole.
+    T, d = inst.T, inst.d
+    rate = (inst.costs / inst.c_weights).ravel()
+    x = xs.ravel()
+    rank = [((t + i) % 2, -inst.w_weights[i], t * d + i) for t in range(T) for i in range(d)]
+    for a in range(T * d):
+        for b in range(T * d):
+            if rate[a] == rate[b] and rank[a] < rank[b] and x[b] > 0.0:
+                assert x[a] == 1.0, (a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valid_instances())
+def test_worst_matches_lp_on_random_instances(inst):
+    sol = assert_worst_matches_lp(inst)
+    assert_ties_resolve_by_parity(inst, sol.decisions)
+
+
+def test_worst_matches_lp_on_generator_instances():
+    for config in (GeneratorConfig(), GeneratorConfig(d=10, beta_nominal=0.0)):
+        for i in range(20):
+            inst = generate_synthetic(seed=37, index=i, config=config)
+            sol = assert_worst_matches_lp(inst)
+            assert_ties_resolve_by_parity(inst, sol.decisions)
+
+
+def test_worst_tie_at_U_alternates_dimensions():
+    # Every price is U and every item covers half the demand: the plan
+    # takes the even-parity items, larger w first, then the earlier one.
+    U = 10.0
+    inst = make_instance(d=2, T=3, U=U, c=[0.5, 0.5], w=[1.0, 3.0],
+                         costs=np.full((3, 2), 0.5 * U))
+    sol = solve_worst(inst)
+    assert sol.decisions.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    assert sol.objective == pytest.approx(U + 2 * 1.0 + 2 * 3.0)
+
+
+def test_worst_rejects_unreachable_cover():
+    # Two steps of c = [0.2, 0.2] cover at most 0.8.
+    inst = make_instance(d=2, T=2, c=[0.2, 0.2], costs=np.full((2, 2), 0.4), U=5.0)
+    with pytest.raises(NumericError):
+        solve_worst(inst)

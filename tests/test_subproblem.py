@@ -17,6 +17,7 @@ from cflbench.subproblem import (
     SLACK_TOL,
     ConsistencyContext,
     StepContext,
+    _constrained_with_free,
     consistency_slack,
     fill_to_utilization,
     grid_oracle,
@@ -406,7 +407,7 @@ def test_constrained_warns_only_when_infeasible(monkeypatch):
     # The headline grid on the default cell: every step the constrained
     # solver gives up on must be one where no decision is consistent.
     warned = []
-    solve = algorithms.minimize_pseudo_cost_constrained
+    solve = algorithms._constrained_with_free
 
     def recording(ctx, cc):
         with warnings.catch_warnings(record=True) as caught:
@@ -416,7 +417,7 @@ def test_constrained_warns_only_when_infeasible(monkeypatch):
             warned.append((ctx, cc))
         return x
 
-    monkeypatch.setattr(algorithms, "minimize_pseudo_cost_constrained", recording)
+    monkeypatch.setattr(algorithms, "_constrained_with_free", recording)
     cfg = GeneratorConfig()
     for i in range(20):
         inst = generate_synthetic(seed=42, index=i, config=cfg)
@@ -492,3 +493,8 @@ def test_step_solvers_properties(case):
     assert con_obj >= free_obj - 1e-12 * ctx.params.U
     if consistency_slack(x_free, ctx, cc) >= 0.0:
         assert con_obj == free_obj
+    # run_clip's helper returns the same two points from one free solve.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        both = _constrained_with_free(ctx, cc)
+    assert np.array_equal(both[0], x_con) and np.array_equal(both[1], x_free)
