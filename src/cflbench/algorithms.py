@@ -1,10 +1,11 @@
 """Online players for the constrained purchasing problem.
 
 The threshold-based robust player, its advice-following variant, the
-convex-combination baseline, and three simple heuristics.  Each advice-free
-algorithm is available both as a one-shot runner over a full instance and
-as an incremental player that consumes one price vector at a time, which
-is what the adaptive adversary drives.
+convex-combination baseline, and three simple heuristics.  All five online
+players are incremental: each consumes one price vector at a time, and one
+loop (``_drive``) runs each of them over a full instance.  The advice-free
+players can also be built by name (``make_player``), which is what the
+adaptive adversary drives.
 
 All players honor the compulsory trade: once waiting any longer could
 leave the demand unfinishable even at maximal purchase rates, they switch
@@ -14,7 +15,7 @@ to a greedy filling controller regardless of prices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,9 +43,7 @@ from .subproblem import (
 from .thresholds import ThresholdParams, make_threshold_params
 
 __all__ = [
-    "ClipState",
     "BaselineConfig",
-    "compulsory_controller",
     "run_alg1",
     "run_clip",
     "run_baseline",
@@ -52,25 +51,7 @@ __all__ = [
     "run_move_to_minimizer",
     "run_simple_threshold",
     "make_player",
-    "ADVICE_FREE_ALGORITHMS",
 ]
-
-
-@dataclass
-class ClipState:
-    """Mutable per-run state of the advice-following player.
-
-    ``p`` is the pseudo-utilization that prices the threshold credit; it
-    never exceeds the true utilization ``z``.
-    """
-
-    t: int = 1
-    z: float = 0.0
-    p: float = 0.0
-    x_prev: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    advice_utilization: float = 0.0
-    clip_cost: float = 0.0
-    adv_cost: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -124,21 +105,14 @@ def _controller_decision(z: float, t: int, T: int, c_weights: np.ndarray) -> np.
     return x
 
 
-def compulsory_controller(state, instance: Instance, t: int) -> np.ndarray:
-    """Decision of the compulsory-trade controller at step t.
-
-    ``state`` is anything carrying the current utilization as attribute
-    ``z`` (such as ClipState) or a bare float.
-    """
-    z = float(getattr(state, "z", state))
-    if not 1 <= t <= instance.T:
-        raise DomainError(f"step {t} outside 1..{instance.T}")
-    return _controller_decision(z, t, instance.T, instance.c_weights)
-
-
 class _PlayerBase:
     """Incremental online player: decide() consumes price vectors in step
-    order and must be called exactly T times."""
+    order and must be called exactly T times.
+
+    The base class owns the steps every player shares: once the demand is
+    covered it buys nothing, otherwise the subclass's ``_step`` decides;
+    then it advances the utilization ``z``, the step ``t`` and ``x_prev``.
+    """
 
     def __init__(self, d: int, T: int, L: float, U: float,
                  c_weights: np.ndarray, w_weights: np.ndarray) -> None:
@@ -150,48 +124,44 @@ class _PlayerBase:
         self.w_weights = np.asarray(w_weights, dtype=float)
         self.t = 1
         self.z = 0.0
-
-    def _advance(self, x: np.ndarray) -> np.ndarray:
-        self.z += constraint_value(x, self.c_weights)
-        self.t += 1
-        return x
-
-    def decide(self, f_t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _Alg1Player(_PlayerBase):
-    def __init__(self, d, T, L, U, c_weights, w_weights,
-                 params: Optional[ThresholdParams] = None) -> None:
-        super().__init__(d, T, L, U, c_weights, w_weights)
-        beta = float(np.max(self.w_weights / self.c_weights))
-        self.params = params or make_threshold_params(L, U, beta)
         self.x_prev = np.zeros(d)
 
     def decide(self, f_t: np.ndarray) -> np.ndarray:
         f_t = np.asarray(f_t, dtype=float)
-        if self.z >= 1.0 - FEAS_TOL:
-            x = np.zeros(self.d)
-        else:
-            ctx = StepContext(
-                f_t=f_t,
-                x_prev=self.x_prev,
-                z=self.z,
-                cap=1.0 - self.z,
-                c_weights=self.c_weights,
-                w_weights=self.w_weights,
-                params=self.params,
-            )
-            if compulsory_start(self.t, self.z, self):
-                # Forced filling on the compulsory controller's schedule, but
-                # picking the cheapest coordinates: the guarantee needs the
-                # player to keep exploiting low prices inside the window.
-                y = min(1.0 - self.z, 1.0, float(np.sum(self.c_weights)))
-                x = fill_to_utilization(ctx, y)
-            else:
-                x = minimize_pseudo_cost(ctx)
+        x = np.zeros(self.d) if self.z >= 1.0 - FEAS_TOL else self._step(f_t)
+        self.z += constraint_value(x, self.c_weights)
+        self.t += 1
         self.x_prev = x
-        return self._advance(x)
+        return x
+
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        """Decision at step ``t`` while the demand is still uncovered."""
+        raise NotImplementedError
+
+
+class _Alg1Player(_PlayerBase):
+    def __init__(self, *args, params: Optional[ThresholdParams] = None) -> None:
+        super().__init__(*args)
+        beta = float(np.max(self.w_weights / self.c_weights))
+        self.params = params or make_threshold_params(self.L, self.U, beta)
+
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        ctx = StepContext(
+            f_t=f_t,
+            x_prev=self.x_prev,
+            z=self.z,
+            cap=1.0 - self.z,
+            c_weights=self.c_weights,
+            w_weights=self.w_weights,
+            params=self.params,
+        )
+        if compulsory_start(self.t, self.z, self):
+            # Forced filling on the compulsory controller's schedule, but
+            # picking the cheapest coordinates: the guarantee needs the
+            # player to keep exploiting low prices inside the window.
+            y = min(1.0 - self.z, 1.0, float(np.sum(self.c_weights)))
+            return fill_to_utilization(ctx, y)
+        return minimize_pseudo_cost(ctx)
 
 
 class _AgnosticPlayer(_PlayerBase):
@@ -200,21 +170,16 @@ class _AgnosticPlayer(_PlayerBase):
     only matters when one maxed-out decision cannot cover it; a compulsory
     guard keeps pathological instances feasible."""
 
-    def __init__(self, d, T, L, U, c_weights, w_weights) -> None:
-        super().__init__(d, T, L, U, c_weights, w_weights)
-        self.k: Optional[int] = None
+    k: Optional[int] = None
 
-    def decide(self, f_t: np.ndarray) -> np.ndarray:
-        f_t = np.asarray(f_t, dtype=float)
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        if self.k is None:
+            self.k = int(np.argmin(f_t))
+        if compulsory_start(self.t, self.z, self):
+            return _controller_decision(self.z, self.t, self.T, self.c_weights)
         x = np.zeros(self.d)
-        if self.z < 1.0 - FEAS_TOL:
-            if self.k is None:
-                self.k = int(np.argmin(f_t))
-            if compulsory_start(self.t, self.z, self):
-                x = _controller_decision(self.z, self.t, self.T, self.c_weights)
-            else:
-                x[self.k] = min(1.0, (1.0 - self.z) / self.c_weights[self.k])
-        return self._advance(x)
+        x[self.k] = min(1.0, (1.0 - self.z) / self.c_weights[self.k])
+        return x
 
 
 class _MoveToMinimizerPlayer(_PlayerBase):
@@ -223,39 +188,30 @@ class _MoveToMinimizerPlayer(_PlayerBase):
     Where that dimension's box fills first, the next cheapest takes the
     rest of the step's share."""
 
-    def decide(self, f_t: np.ndarray) -> np.ndarray:
-        f_t = np.asarray(f_t, dtype=float)
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
         x = np.zeros(self.d)
-        if self.z < 1.0 - FEAS_TOL:
-            share = 1.0 - self.z if self.t == self.T else 1.0 / self.T
-            for k in np.argsort(f_t, kind="stable"):
-                x[k] = min(1.0, share / self.c_weights[k])
-                share -= x[k] * self.c_weights[k]
-                if share <= FEAS_TOL:
-                    break
-        return self._advance(x)
+        share = 1.0 - self.z if self.t == self.T else 1.0 / self.T
+        for k in np.argsort(f_t, kind="stable"):
+            x[k] = min(1.0, share / self.c_weights[k])
+            share -= x[k] * self.c_weights[k]
+            if share <= FEAS_TOL:
+                break
+        return x
 
 
 class _SimpleThresholdPlayer(_PlayerBase):
     """Buys everything the first time a price drops to sqrt(U * L), falling
     back to the compulsory trade if none ever does."""
 
-    def __init__(self, d, T, L, U, c_weights, w_weights) -> None:
-        super().__init__(d, T, L, U, c_weights, w_weights)
-        self.psi = math.sqrt(U * L)
-
-    def decide(self, f_t: np.ndarray) -> np.ndarray:
-        f_t = np.asarray(f_t, dtype=float)
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        if compulsory_start(self.t, self.z, self):
+            return _controller_decision(self.z, self.t, self.T, self.c_weights)
         x = np.zeros(self.d)
-        if self.z < 1.0 - FEAS_TOL:
-            if compulsory_start(self.t, self.z, self):
-                x = _controller_decision(self.z, self.t, self.T, self.c_weights)
-            else:
-                hits = np.nonzero(f_t <= self.psi)[0]
-                if hits.size:
-                    k = int(hits[0])
-                    x[k] = min(1.0, (1.0 - self.z) / self.c_weights[k])
-        return self._advance(x)
+        hits = np.nonzero(f_t <= math.sqrt(self.U * self.L))[0]
+        if hits.size:
+            k = int(hits[0])
+            x[k] = min(1.0, (1.0 - self.z) / self.c_weights[k])
+        return x
 
 
 _PLAYERS = {
@@ -264,8 +220,6 @@ _PLAYERS = {
     "move_to_minimizer": _MoveToMinimizerPlayer,
     "simple_threshold": _SimpleThresholdPlayer,
 }
-
-ADVICE_FREE_ALGORITHMS = tuple(_PLAYERS)
 
 
 def make_player(name: str, d: int, T: int, L: float, U: float,
@@ -281,38 +235,6 @@ def make_player(name: str, d: int, T: int, L: float, U: float,
                np.asarray(w_weights, dtype=float), **kwargs)
 
 
-def _drive(player: _PlayerBase, instance: Instance) -> Trajectory:
-    xs = [player.decide(instance.costs[t]) for t in range(instance.T)]
-    if player.z < 1.0 - 1e-9:
-        raise InfeasibleError(f"run finished with utilization {player.z} < 1")
-    return make_trajectory(instance, np.asarray(xs))
-
-
-def run_alg1(instance: Instance, params: Optional[ThresholdParams] = None) -> Trajectory:
-    """Run the threshold player over a full instance."""
-    player = _Alg1Player(instance.d, instance.T, instance.L, instance.U,
-                         instance.c_weights, instance.w_weights, params=params)
-    return _drive(player, instance)
-
-
-def run_agnostic(instance: Instance) -> Trajectory:
-    player = _AgnosticPlayer(instance.d, instance.T, instance.L, instance.U,
-                             instance.c_weights, instance.w_weights)
-    return _drive(player, instance)
-
-
-def run_move_to_minimizer(instance: Instance) -> Trajectory:
-    player = _MoveToMinimizerPlayer(instance.d, instance.T, instance.L, instance.U,
-                                    instance.c_weights, instance.w_weights)
-    return _drive(player, instance)
-
-
-def run_simple_threshold(instance: Instance) -> Trajectory:
-    player = _SimpleThresholdPlayer(instance.d, instance.T, instance.L, instance.U,
-                                    instance.c_weights, instance.w_weights)
-    return _drive(player, instance)
-
-
 def _check_advice(instance: Instance, advice: np.ndarray) -> np.ndarray:
     advice = np.asarray(advice, dtype=float)
     if advice.shape != (instance.T, instance.d):
@@ -322,7 +244,7 @@ def _check_advice(instance: Instance, advice: np.ndarray) -> np.ndarray:
     if np.any(advice < -FEAS_TOL) or np.any(advice > 1.0 + FEAS_TOL):
         raise DomainError("advice leaves the unit box")
     total = float(np.sum(advice @ instance.c_weights))
-    if total < 1.0 - 1e-9:
+    if total < 1.0 - FEAS_TOL:
         raise InfeasibleError(f"advice covers only {total} of the demand")
     return np.clip(advice, 0.0, 1.0)
 
@@ -339,6 +261,112 @@ def _top_up(x: np.ndarray, amount: float, f_t: np.ndarray,
         x[i] += take
         amount -= take * c_weights[i]
     return x
+
+
+class _ClipPlayer(_PlayerBase):
+    """The advice-following player (see ``run_clip``), built with the
+    checked advice, ``epsilon`` and the augmented threshold params.
+
+    ``p`` is the pseudo-utilization that prices the threshold credit; it
+    never exceeds the true utilization ``z``.  ``adv_cost`` and
+    ``clip_cost`` are the advice's and this run's costs until the demand
+    is covered.
+    """
+
+    def __init__(self, *args, advice: np.ndarray, epsilon: float,
+                 params: ThresholdParams) -> None:
+        super().__init__(*args)
+        self.advice = advice
+        self.epsilon = epsilon
+        self.params = params
+        self.p = 0.0
+        self.adv_cost = 0.0
+        self.clip_cost = 0.0
+        self.advice_utilization = 0.0
+        self.a_prev = np.zeros(self.d)
+        self.follow_ratio: Optional[float] = None
+
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        a_t = self.advice[self.t - 1]
+        self.advice_utilization += constraint_value(a_t, self.c_weights)
+        self.adv_cost += float(f_t @ a_t) + weighted_l1(a_t - self.a_prev, self.w_weights)
+        self.a_prev = a_t
+        self.p = min(self.p, self.z)
+
+        if compulsory_start(self.t, self.z, self):
+            # Compulsory trade: track the advice's remaining plan, scaled to
+            # this run's residual demand, and force only what can no longer
+            # wait.  Following the advice is what keeps the window within the
+            # consistency budget: the advice already paid for its own
+            # schedule, so tracking it costs at most that again.
+            if self.follow_ratio is None:
+                adv_rest = float(np.sum(self.advice[self.t - 1:] @ self.c_weights))
+                need = 1.0 - self.z
+                self.follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
+            x = np.clip(a_t * self.follow_ratio, 0.0, 1.0)
+            # The advice may buy more in one step than this run has left
+            # to buy: scale onto the residual cap, as the solver steps do.
+            used = constraint_value(x, self.c_weights)
+            if used > 1.0 - self.z + FEAS_TOL:
+                x *= (1.0 - self.z) / used
+                used = 1.0 - self.z
+            max_later = (self.T - self.t) * float(np.max(self.c_weights))
+            shortfall = (1.0 - self.z - used) - max_later
+            if shortfall > FEAS_TOL:
+                x = _top_up(x, shortfall, f_t, self.c_weights)
+        else:
+            ctx = StepContext(
+                f_t=f_t,
+                x_prev=self.x_prev,
+                z=self.p,
+                cap=1.0 - self.z,
+                c_weights=self.c_weights,
+                w_weights=self.w_weights,
+                params=self.params,
+            )
+            cc = ConsistencyContext(
+                a_t=a_t,
+                adv_cost=self.adv_cost,
+                clip_cost_so_far=self.clip_cost,
+                advice_utilization=self.advice_utilization,
+                z_prev=self.z,
+                epsilon=self.epsilon,
+            )
+            x, x_bar = _constrained_with_free(ctx, cc)
+            self.p += min(
+                constraint_value(x_bar, self.c_weights),
+                constraint_value(x, self.c_weights),
+            )
+
+        self.clip_cost += float(f_t @ x) + weighted_l1(x - self.x_prev, self.w_weights)
+        return x
+
+
+def _drive(cls, instance: Instance, **kwargs) -> Trajectory:
+    """Run a ``cls`` player over the instance: the one loop over steps."""
+    player = cls(instance.d, instance.T, instance.L, instance.U,
+                 instance.c_weights, instance.w_weights, **kwargs)
+    xs = [player.decide(f_t) for f_t in instance.costs]
+    if player.z < 1.0 - FEAS_TOL:
+        raise InfeasibleError(f"run finished with utilization {player.z} < 1")
+    return make_trajectory(instance, np.asarray(xs))
+
+
+def run_alg1(instance: Instance, params: Optional[ThresholdParams] = None) -> Trajectory:
+    """Run the threshold player over a full instance."""
+    return _drive(_Alg1Player, instance, params=params)
+
+
+def run_agnostic(instance: Instance) -> Trajectory:
+    return _drive(_AgnosticPlayer, instance)
+
+
+def run_move_to_minimizer(instance: Instance) -> Trajectory:
+    return _drive(_MoveToMinimizerPlayer, instance)
+
+
+def run_simple_threshold(instance: Instance) -> Trajectory:
+    return _drive(_SimpleThresholdPlayer, instance)
 
 
 def run_clip(
@@ -372,75 +400,7 @@ def run_clip(
         else:
             eps_thr = min(epsilon, alpha - 1.0)
             params = make_threshold_params(instance.L, instance.U, beta, epsilon=eps_thr)
-
-    st = ClipState(x_prev=np.zeros(instance.d))
-    a_prev = np.zeros(instance.d)
-    xs = []
-    follow_ratio: Optional[float] = None
-    for t in range(1, instance.T + 1):
-        f_t = instance.costs[t - 1]
-        a_t = advice[t - 1]
-        st.advice_utilization += constraint_value(a_t, instance.c_weights)
-        st.adv_cost += float(f_t @ a_t) + weighted_l1(a_t - a_prev, instance.w_weights)
-
-        if st.z >= 1.0 - FEAS_TOL:
-            x = np.zeros(instance.d)
-        elif compulsory_start(t, st.z, instance):
-            # Compulsory trade: track the advice's remaining plan, scaled to
-            # this run's residual demand, and force only what can no longer
-            # wait.  Following the advice is what keeps the window within the
-            # consistency budget: the advice already paid for its own
-            # schedule, so tracking it costs at most that again.
-            if follow_ratio is None:
-                adv_rest = float(np.sum(advice[t - 1:] @ instance.c_weights))
-                need = 1.0 - st.z
-                follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
-            x = np.clip(a_t * follow_ratio, 0.0, 1.0)
-            # The advice may buy more in one step than this run has left
-            # to buy: scale onto the residual cap, as the solver steps do.
-            used = constraint_value(x, instance.c_weights)
-            if used > 1.0 - st.z + FEAS_TOL:
-                x *= (1.0 - st.z) / used
-                used = 1.0 - st.z
-            max_later = (instance.T - t) * float(np.max(instance.c_weights))
-            shortfall = (1.0 - st.z - used) - max_later
-            if shortfall > FEAS_TOL:
-                x = _top_up(x, shortfall, f_t, instance.c_weights)
-        else:
-            ctx = StepContext(
-                f_t=f_t,
-                x_prev=st.x_prev,
-                z=st.p,
-                cap=1.0 - st.z,
-                c_weights=instance.c_weights,
-                w_weights=instance.w_weights,
-                params=params,
-            )
-            cc = ConsistencyContext(
-                a_t=a_t,
-                adv_cost=st.adv_cost,
-                clip_cost_so_far=st.clip_cost,
-                advice_utilization=st.advice_utilization,
-                z_prev=st.z,
-                epsilon=epsilon,
-            )
-            x, x_bar = _constrained_with_free(ctx, cc)
-            st.p += min(
-                constraint_value(x_bar, instance.c_weights),
-                constraint_value(x, instance.c_weights),
-            )
-
-        st.clip_cost += float(f_t @ x) + weighted_l1(x - st.x_prev, instance.w_weights)
-        st.z += constraint_value(x, instance.c_weights)
-        st.p = min(st.p, st.z)
-        st.x_prev = x
-        a_prev = a_t
-        st.t = t + 1
-        xs.append(x)
-
-    if st.z < 1.0 - 1e-9:
-        raise InfeasibleError(f"run finished with utilization {st.z} < 1")
-    return make_trajectory(instance, np.asarray(xs))
+    return _drive(_ClipPlayer, instance, advice=advice, epsilon=epsilon, params=params)
 
 
 def run_baseline(instance: Instance, advice: np.ndarray, epsilon: float) -> Trajectory:

@@ -54,6 +54,13 @@ def _resolve(flag_value, name: str, default):
     return raw
 
 
+def _int(raw, name: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _parse_cells(spec: str) -> list[dict]:
     """Cells are semicolon-separated; each is comma-separated key=value with
     keys d, u (U/L ratio), beta, sigma.  Omitted keys take the defaults."""
@@ -110,7 +117,7 @@ def _sweep_config(args) -> SweepConfig:
     algs = _parse_algs(_resolve(args.algs, "algs", ",".join(ADVICE_FREE_ROSTER + ADVISED_ROSTER)))
     eps = _parse_floats(_resolve(args.eps, "eps", "2,5,10"))
     xi = _parse_floats(_resolve(args.xi, "xi", ""))
-    seed = int(_resolve(args.seed, "seed", 42))
+    seed = _int(_resolve(args.seed, "seed", 42), "seed")
     quick = _resolve(args.quick, "quick", False)
     if isinstance(quick, str):
         quick = quick.lower() in ("1", "true", "yes", "on")
@@ -164,7 +171,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _sweep_config(args)
-    threads = int(_resolve(args.threads, "threads", 1))
+    threads = _int(_resolve(args.threads, "threads", 1), "threads")
     records, aggregates, cdf = cmd_sweep(config, threads=threads)
     out = _out_dir(args)
     records_to_csv(records, str(out / "records.csv"))

@@ -135,15 +135,6 @@ def constraint_value(x, c_weights) -> float:
     return float(np.sum(c * np.abs(x)))
 
 
-def evaluate_cost(f_t, x) -> float:
-    """Linear hitting cost f_t . x of decision x at the revealed coefficients."""
-    f = _as_vector(f_t, "f_t")
-    x = _as_vector(x, "x")
-    if f.shape != x.shape:
-        raise DimensionMismatch(f"shape mismatch: f_t {f.shape}, x {x.shape}")
-    return float(np.dot(f, x))
-
-
 def trajectory_cost(instance: Instance, decisions) -> CostBreakdown:
     """Total hitting and switching cost of a full decision sequence.
 
@@ -183,6 +174,10 @@ def validate_instance(instance: Instance) -> list[str]:
         v.append(f"d must be >= 1, got {instance.d}")
     if instance.T < 1:
         v.append(f"T must be >= 1, got {instance.T}")
+    arrays = ((instance.L, instance.U), instance.c_weights, instance.w_weights, instance.costs)
+    if not all(np.isfinite(a).all() for a in arrays):
+        v.append("L, U, c, w and costs must be finite")
+        return v
     if not (0 < instance.L <= instance.U):
         v.append(f"need 0 < L <= U, got L={instance.L}, U={instance.U}")
     if instance.c_weights.shape != (instance.d,):
@@ -287,6 +282,8 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"instance document must be a JSON object, got {type(doc).__name__}")
     try:
         return Instance(
             d=int(doc["d"]),
@@ -301,6 +298,8 @@ def instance_from_dict(doc: dict) -> Instance:
         )
     except KeyError as exc:
         raise ConfigError(f"instance document missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"instance document has a malformed field: {exc}") from exc
 
 
 def save_instance(instance: Instance, path) -> None:

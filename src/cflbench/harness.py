@@ -24,7 +24,14 @@ from .algorithms import (
     run_move_to_minimizer,
     run_simple_threshold,
 )
-from .core import DomainError, Instance, NumericError, load_instance
+from .core import (
+    ConfigError,
+    DomainError,
+    Instance,
+    NumericError,
+    load_instance,
+    validate_instance,
+)
 from .instances import AdversaryConfig, GeneratorConfig, generate_synthetic, y_adversary_run
 from .offline import AdviceConfig, make_advice, solve_opt, solve_worst
 from .thresholds import make_threshold_params
@@ -286,6 +293,9 @@ def cmd_run(
     records = []
     for idx, path in enumerate(instance_files):
         instance = load_instance(path)
+        violations = validate_instance(instance)
+        if violations:
+            raise ConfigError(f"{path}: " + "; ".join(violations))
         gc = instance.generator_config or {}
         records.extend(
             _records_for_instance(

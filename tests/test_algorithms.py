@@ -10,7 +10,7 @@ from strategies import valid_instances
 
 from cflbench.algorithms import (
     BaselineConfig,
-    compulsory_controller,
+    _controller_decision,
     run_agnostic,
     run_alg1,
     run_baseline,
@@ -19,6 +19,7 @@ from cflbench.algorithms import (
     run_simple_threshold,
 )
 from cflbench.core import (
+    FEAS_TOL,
     DomainError,
     InfeasibleError,
     Instance,
@@ -42,29 +43,22 @@ def make_instance(d=2, T=3, L=1.0, U=10.0, c=None, w=None, costs=None):
     )
 
 
-class _Ctl:
-    """Bare state holder for driving the compulsory controller directly."""
-
-    def __init__(self, z):
-        self.z = z
-
-
 def test_controller_single_step_tops_off():
     inst = make_instance(d=1, T=1, costs=[[5.0]])
-    x = compulsory_controller(_Ctl(0.4), inst, 1)
+    x = _controller_decision(0.4, 1, inst.T, inst.c_weights)
     assert x == pytest.approx(np.array([0.6]))
 
 
 def test_controller_two_steps_greedy_largest_c():
     inst = make_instance(d=2, T=2, c=[0.5, 0.25], costs=[[5, 5], [5, 5]])
-    st = _Ctl(0.0)
-    x1 = compulsory_controller(st, inst, 1)
+    z = 0.0
+    x1 = _controller_decision(z, 1, inst.T, inst.c_weights)
     assert x1 == pytest.approx(np.array([1.0, 0.0]))
-    st.z += constraint_value(x1, inst.c_weights)
-    x2 = compulsory_controller(st, inst, 2)
+    z += constraint_value(x1, inst.c_weights)
+    x2 = _controller_decision(z, 2, inst.T, inst.c_weights)
     assert x2 == pytest.approx(np.array([1.0, 0.0]))
-    st.z += constraint_value(x2, inst.c_weights)
-    assert st.z == pytest.approx(1.0)
+    z += constraint_value(x2, inst.c_weights)
+    assert z == pytest.approx(1.0)
 
 
 def test_controller_covers_exactly_the_gap():
@@ -75,16 +69,16 @@ def test_controller_covers_exactly_the_gap():
         c = rng.uniform(0.3, 1.0, d)
         inst = make_instance(d=d, T=T, c=c, costs=rng.uniform(1, 10, (T, d)) * c)
         z0 = float(rng.uniform(0.0, 1.0))
-        st = _Ctl(z0)
+        z = z0
         start = None
         for t in range(1, T + 1):
-            x = compulsory_controller(st, inst, t)
+            x = _controller_decision(z, t, inst.T, inst.c_weights)
             got = constraint_value(x, inst.c_weights)
             if got > 0 and start is None:
                 start = t
-            st.z += got
+            z += got
         if (T) * float(np.max(c)) >= 1.0 - z0:
-            assert st.z == pytest.approx(max(z0, 1.0), abs=1e-9)
+            assert z == pytest.approx(max(z0, 1.0), abs=1e-9)
 
 
 def test_alg1_flat_expensive_waits_for_window():
@@ -131,13 +125,21 @@ def test_all_players_feasible():
 @given(valid_instances(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.5, 2.0, 10.0]))
 def test_every_player_feasible_on_random_instances(inst, xi, eps):
     advice = make_advice(inst, AdviceConfig(xi=xi))
-    runs = (run_alg1, run_agnostic, run_move_to_minimizer, run_simple_threshold,
-            lambda i: run_clip(i, advice, eps), lambda i: run_baseline(i, advice, eps))
-    for run in runs:
+    online = (run_alg1, run_agnostic, run_move_to_minimizer, run_simple_threshold,
+              lambda i: run_clip(i, advice, eps))
+    for run in online + (lambda i: run_baseline(i, advice, eps),):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             traj = run(inst)
         assert not trajectory_violations(inst, traj.decisions)
+        if run not in online:
+            continue
+        # An online player idles once its utilization covers the demand.
+        z = 0.0
+        for x in traj.decisions:
+            if z >= 1.0 - FEAS_TOL:
+                assert not np.any(x)
+            z += constraint_value(x, inst.c_weights)
 
 
 def test_move_to_minimizer_spills_past_a_full_box():

@@ -20,7 +20,6 @@ from cflbench.core import (
     compulsory_start,
     constraint_value,
     decision_violations,
-    evaluate_cost,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -70,12 +69,6 @@ def test_constraint_value_examples():
     assert constraint_value([0.0, 0.0], [1.0, 1.0]) == 0.0
     assert constraint_value([0.3, 0.2], [1.0, 1.0]) == pytest.approx(0.5)
     assert constraint_value([1.0], [0.25]) == pytest.approx(0.25)
-
-
-def test_evaluate_cost_examples():
-    assert evaluate_cost([5.0, 7.0], [0.0, 0.0]) == 0.0
-    assert evaluate_cost([5.0, 7.0], [1.0, 0.0]) == 5.0
-    assert evaluate_cost([5.0, 7.0], [0.5, 0.5]) == 6.0
 
 
 def test_trajectory_cost_idle():

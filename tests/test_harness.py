@@ -1,12 +1,13 @@
 """Sweep orchestration, CSV emission, aggregation, and the CLI wrapper."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from cflbench.cli import main
-from cflbench.core import DomainError, NumericError, save_instance
+from cflbench.core import DomainError, NumericError, instance_to_dict, save_instance
 from cflbench.harness import (
     RECORD_FIELDS,
     ExperimentRecord,
@@ -220,7 +221,7 @@ def test_cli_gen_then_run(tmp_path):
     assert all(float(r["empirical_cr"]) >= 1.0 - 1e-9 for r in rows)
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # unknown algorithm name: configuration error
     assert main(["sweep", "--algs", "quantum", "--quick",
                  "--out", str(tmp_path / "x")]) == 2
@@ -231,11 +232,29 @@ def test_cli_exit_codes(tmp_path, capsys):
     # errors reported on one stderr line, not numeric failures or tracebacks
     (tmp_path / "partial.json").write_text('{"d": 1, "T": 2}\n')
     (tmp_path / "garbage.json").write_text("not json\n")
-    for name in ("partial.json", "garbage.json"):
-        capsys.readouterr()
-        assert main(["run", str(tmp_path / name), "--out", str(tmp_path / "y")]) == 2
+    # ... and so are a non-numeric field, a document that is not an object,
+    # and documents that parse but fail validation (T = 0, a NaN price)
+    doc = instance_to_dict(generate_synthetic(seed=5, index=0, config=GeneratorConfig(d=2)))
+    bad_docs = {
+        "letters.json": dict(doc, L="abc"),
+        "list.json": [doc],
+        "empty.json": dict(doc, T=0, costs=[]),
+        "nan.json": dict(doc, costs=[[float("nan")] + row[1:] for row in doc["costs"]]),
+    }
+    for name, bad_doc in bad_docs.items():
+        (tmp_path / name).write_text(json.dumps(bad_doc) + "\n")
+    runs = [["run", str(tmp_path / name), "--out", str(tmp_path / "y")]
+            for name in ("partial.json", "garbage.json", *bad_docs)]
+    # malformed integers from the environment
+    sweep = ["sweep", "--algs", "alg1", "--cells", "d=2", "--quick", "--out", str(tmp_path / "w")]
+    for env, argv in [(None, run) for run in runs] + [("SEED", sweep), ("THREADS", sweep)]:
+        with monkeypatch.context() as mp:
+            if env is not None:
+                mp.setenv("CFLBENCH_" + env, "abc")
+            capsys.readouterr()
+            assert main(argv) == 2, (env, argv)
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
     # a records file claiming to beat the optimum: numeric failure
     bad = tmp_path / "bad.csv"
     with open(bad, "w", newline="") as fh:
