@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -19,12 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CflError, ConfigError, DomainError, NumericError, save_instance
+from .core import CflError, ConfigError, DomainError, save_instance
 from .harness import (
     ADVICE_FREE_ROSTER,
     ADVISED_ROSTER,
-    ExperimentRecord,
     SweepConfig,
+    _read_records,
+    _write_csv,
     aggregate_records,
     aggregates_to_csv,
     cdf_to_csv,
@@ -200,48 +200,15 @@ def _cmd_adversary(args) -> int:
         report = cmd_adversary(name, grid, m=m, w_steps=w_steps,
                                params={"L": L, "U": U, "beta": beta, "d": 2})
         print(f"{name}: max ratio {report['max_ratio']:.4f} vs alpha {report['alpha']:.4f}")
-        for row in report["rows"]:
-            rows_out.append((name, row["y"], row["alg_cost"], row["opt_cost"], row["ratio"]))
-    with open(out / "adversary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("algorithm", "y", "alg_cost", "opt_cost", "ratio"))
-        for row in rows_out:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        rows_out.extend(dict(row, algorithm=name) for row in report["rows"])
+    _write_csv(str(out / "adversary.csv"),
+               ("algorithm", "y", "alg_cost", "opt_cost", "ratio"), rows_out)
     print(f"wrote {len(rows_out)} probe rows to {out / 'adversary.csv'}")
     return 0
 
 
-def _load_records(path: str) -> list[ExperimentRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                records.append(
-                    ExperimentRecord(
-                        seed=int(row["seed"]),
-                        instance_index=int(row["instance_index"]),
-                        d=int(row["d"]),
-                        T=int(row["T"]),
-                        L=float(row["L"]),
-                        U=float(row["U"]),
-                        beta_nominal=float(row["beta_nominal"]),
-                        beta_realized=float(row["beta_realized"]),
-                        sigma=float(row["sigma"]),
-                        xi=float(row["xi"]) if row["xi"] else None,
-                        algorithm=row["algorithm"],
-                        epsilon=float(row["epsilon"]) if row["epsilon"] else None,
-                        alg_cost=float(row["alg_cost"]),
-                        opt_cost=float(row["opt_cost"]),
-                        empirical_cr=float(row["empirical_cr"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise DomainError(f"{path} line {lineno}: {exc}") from None
-    return records
-
-
 def _cmd_report(args) -> int:
-    records = _load_records(args.records)
+    records = _read_records(args.records)
     out = _out_dir(args)
     aggregates_to_csv(aggregate_records(records), str(out / "aggregates.csv"))
     print(f"re-aggregated {len(records)} records into {out / 'aggregates.csv'}")

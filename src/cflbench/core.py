@@ -314,4 +314,7 @@ def load_instance(path) -> Instance:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"{path} is not a JSON instance document: {exc}") from exc
-    return instance_from_dict(doc)
+    try:
+        return instance_from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -1,5 +1,7 @@
 """Experiment orchestration: sweeps over generator cells, per-record CSV
 emission, aggregate tables, CDF exports, and the adversary probe report.
+The output schema is stated once here: the record fields and GROUP_FIELDS
+give every CSV's columns, and one writer and one reader handle the format.
 
 Everything here is deterministic: records are produced from (seed, cell,
 instance index) substreams and sorted before emission, so repeated runs and
@@ -11,10 +13,9 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .algorithms import (
     run_agnostic,
@@ -54,24 +55,6 @@ __all__ = [
     "cdf_to_csv",
 ]
 
-RECORD_FIELDS = (
-    "seed",
-    "instance_index",
-    "d",
-    "T",
-    "L",
-    "U",
-    "beta_nominal",
-    "beta_realized",
-    "sigma",
-    "xi",
-    "algorithm",
-    "epsilon",
-    "alg_cost",
-    "opt_cost",
-    "empirical_cr",
-)
-
 ADVICE_FREE_ROSTER = ("alg1", "agnostic", "move_to_minimizer", "simple_threshold")
 ADVISED_ROSTER = ("clip", "baseline")
 
@@ -104,22 +87,37 @@ class ExperimentRecord:
     empirical_cr: float
 
     def __post_init__(self) -> None:
+        costs = (self.alg_cost, self.opt_cost, self.empirical_cr)
+        if not all(map(math.isfinite, costs)):
+            raise NumericError(f"record has a non-finite cost or ratio: {costs}")
         if self.empirical_cr < 1.0 - 1e-6:
             raise NumericError(
                 f"record beats the hindsight optimum: cr={self.empirical_cr}"
             )
 
     def sort_key(self):
-        return (
-            self.d,
-            self.U,
-            self.beta_nominal,
-            self.sigma,
-            -1.0 if self.xi is None else self.xi,
-            self.instance_index,
-            self.algorithm,
-            -1.0 if self.epsilon is None else self.epsilon,
-        )
+        """The cell-and-algorithm key with ``instance_index`` inserted."""
+        return _sortable(_sort_values(self))
+
+
+# The output schema.  records.csv has one column per record field;
+# aggregates.csv and cdf.csv have one row per cell-and-algorithm group (or
+# per ratio within it), keyed by GROUP_FIELDS.
+RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
+GROUP_FIELDS = ("d", "U", "beta_nominal", "sigma", "xi", "algorithm", "epsilon")
+AGGREGATE_FIELDS = GROUP_FIELDS + ("n", "mean_cr", "p95_cr")
+CDF_FIELDS = GROUP_FIELDS + ("empirical_cr", "fraction")
+
+_group_values = attrgetter(*GROUP_FIELDS)
+# Records sort by cell and xi, then by instance, then by algorithm and epsilon.
+_sort_values = attrgetter(*GROUP_FIELDS[:5], "instance_index", *GROUP_FIELDS[5:])
+
+
+def _sortable(values: tuple) -> tuple:
+    """Key values with None (advice-free xi and epsilon) and nan (sigma of
+    an instance without a generator config) both as -1.0, so that they sort
+    first and equal values group together."""
+    return tuple([-1.0 if v is None or v != v else v for v in values])
 
 
 @dataclass(frozen=True)
@@ -358,108 +356,81 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: Iterable[ExperimentRecord], path: str) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
+    """The one CSV writer: ``header`` names the columns, looked up in each
+    row mapping; floats round-trip via repr, None is empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, f)) for f in RECORD_FIELDS])
+        writer.writerow(header)
+        writer.writerows([_fmt(row[f]) for f in header] for row in rows)
 
 
-def _group_key(rec: ExperimentRecord):
-    return (
-        rec.d,
-        rec.U,
-        rec.beta_nominal,
-        rec.sigma,
-        -1.0 if rec.xi is None else rec.xi,
-        rec.algorithm,
-        -1.0 if rec.epsilon is None else rec.epsilon,
-    )
+def _optional_float(raw: str) -> Optional[float]:
+    return float(raw) if raw else None
 
 
-AGGREGATE_FIELDS = (
-    "d", "U", "beta_nominal", "sigma", "xi", "algorithm", "epsilon",
-    "n", "mean_cr", "p95_cr",
-)
+_PARSERS = {int: int, float: float, str: str, Optional[float]: _optional_float}
+
+
+def _read_records(path: str) -> list[ExperimentRecord]:
+    """Read a records CSV back, parsing each column by its field's type."""
+    parsers = {name: _PARSERS[hint]
+               for name, hint in get_type_hints(ExperimentRecord).items()}
+    records = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                records.append(ExperimentRecord(
+                    **{name: parse(row[name]) for name, parse in parsers.items()}
+                ))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DomainError(f"{path} line {lineno}: {exc}") from None
+    return records
+
+
+def records_to_csv(records: Iterable[ExperimentRecord], path: str) -> None:
+    _write_csv(path, RECORD_FIELDS, map(vars, records))
+
+
+def _groups(records: Iterable[ExperimentRecord]) -> list[tuple[dict, list[float]]]:
+    """(group field values, empirical ratios) per cell and algorithm, in key
+    order.  Ratios are collected under the raw field values first, so that
+    the sortable key is built once per group; distinct nan objects then
+    merge under it."""
+    by_values: dict[tuple, list[float]] = {}
+    for rec in records:
+        by_values.setdefault(_group_values(rec), []).append(rec.empirical_cr)
+    groups: dict[tuple, tuple[dict, list[float]]] = {}
+    for values, crs in by_values.items():
+        key = _sortable(values)
+        if key in groups:
+            groups[key][1].extend(crs)
+        else:
+            groups[key] = (dict(zip(GROUP_FIELDS, values)), crs)
+    return [groups[key] for key in sorted(groups)]
 
 
 def aggregate_records(records: Sequence[ExperimentRecord]) -> list[dict]:
     """Mean and 95th-percentile empirical ratio per cell per algorithm."""
-    groups: dict[tuple, list[float]] = {}
-    meta: dict[tuple, ExperimentRecord] = {}
-    for rec in records:
-        key = _group_key(rec)
-        groups.setdefault(key, []).append(rec.empirical_cr)
-        meta.setdefault(key, rec)
-    out = []
-    for key in sorted(groups):
-        rec = meta[key]
-        crs = groups[key]
-        out.append(
-            {
-                "d": rec.d,
-                "U": rec.U,
-                "beta_nominal": rec.beta_nominal,
-                "sigma": rec.sigma,
-                "xi": rec.xi,
-                "algorithm": rec.algorithm,
-                "epsilon": rec.epsilon,
-                "n": len(crs),
-                "mean_cr": mean(crs),
-                "p95_cr": percentile(crs, 95.0),
-            }
-        )
-    return out
+    return [
+        {**cell, "n": len(crs), "mean_cr": mean(crs), "p95_cr": percentile(crs, 95.0)}
+        for cell, crs in _groups(records)
+    ]
 
 
 def aggregates_to_csv(aggregates: Sequence[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_FIELDS)
-        for row in aggregates:
-            writer.writerow([_fmt(row[f]) for f in AGGREGATE_FIELDS])
-
-
-CDF_FIELDS = (
-    "d", "U", "beta_nominal", "sigma", "xi", "algorithm", "epsilon",
-    "empirical_cr", "fraction",
-)
+    _write_csv(path, AGGREGATE_FIELDS, aggregates)
 
 
 def cdf_points(records: Sequence[ExperimentRecord]) -> list[dict]:
     """Empirical CDF of the ratio per cell per algorithm, plot-ready."""
-    groups: dict[tuple, list[float]] = {}
-    meta: dict[tuple, ExperimentRecord] = {}
-    for rec in records:
-        key = _group_key(rec)
-        groups.setdefault(key, []).append(rec.empirical_cr)
-        meta.setdefault(key, rec)
     out = []
-    for key in sorted(groups):
-        rec = meta[key]
-        crs = sorted(groups[key])
-        n = len(crs)
-        for rank, cr in enumerate(crs, start=1):
-            out.append(
-                {
-                    "d": rec.d,
-                    "U": rec.U,
-                    "beta_nominal": rec.beta_nominal,
-                    "sigma": rec.sigma,
-                    "xi": rec.xi,
-                    "algorithm": rec.algorithm,
-                    "epsilon": rec.epsilon,
-                    "empirical_cr": cr,
-                    "fraction": rank / n,
-                }
-            )
+    for cell, crs in _groups(records):
+        crs.sort()
+        out.extend({**cell, "empirical_cr": cr, "fraction": rank / len(crs)}
+                   for rank, cr in enumerate(crs, start=1))
     return out
 
 
 def cdf_to_csv(points: Sequence[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CDF_FIELDS)
-        for row in points:
-            writer.writerow([_fmt(row[f]) for f in CDF_FIELDS])
+    _write_csv(path, CDF_FIELDS, points)

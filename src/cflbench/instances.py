@@ -9,11 +9,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algorithms import make_player
-from .subproblem import StepContext, fill_to_utilization
-from .thresholds import make_threshold_params
+from .algorithms import _Alg1Player, _drive, make_player
+from .subproblem import fill_to_utilization  # noqa: F401  (bench/layers.py wraps this name)
+from .thresholds import make_threshold_params  # noqa: F401  (bench/layers.py wraps this name)
 from .core import (
-    FEAS_TOL,
     DimensionMismatch,
     DomainError,
     Instance,
@@ -240,34 +239,21 @@ def y_adversary_run(
     return traj.total_cost, reference
 
 
+class _InactiveAdvicePlayer(_Alg1Player):
+    """Idles until its own compulsory trade, then takes alg1's step there."""
+
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        if compulsory_start(self.t, self.z, self):
+            return super()._step(f_t)
+        return np.zeros(self.d)
+
+
 def make_inactive_advice(instance: Instance) -> np.ndarray:
     """Advice that reveals nothing: idle until its own compulsory trade, then
     force maximal amounts into the cheapest coordinates (the same forced-fill
     rule the online players use, so following this advice is indistinguishable
     from having none)."""
-    params = make_threshold_params(instance.L, instance.U, instance.beta)
-    advice = np.zeros((instance.T, instance.d))
-    x_prev = np.zeros(instance.d)
-    z = 0.0
-    for t in range(1, instance.T + 1):
-        if z >= 1.0 - FEAS_TOL:
-            break
-        if compulsory_start(t, z, instance):
-            ctx = StepContext(
-                f_t=instance.costs[t - 1],
-                x_prev=x_prev,
-                z=z,
-                cap=1.0 - z,
-                c_weights=instance.c_weights,
-                w_weights=instance.w_weights,
-                params=params,
-            )
-            y = min(1.0 - z, 1.0, float(np.sum(instance.c_weights)))
-            x = fill_to_utilization(ctx, y)
-            advice[t - 1] = x
-            x_prev = x
-            z += constraint_value(x, instance.c_weights)
-    return advice
+    return _drive(_InactiveAdvicePlayer, instance).decisions
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@ names their callers look them up under; a refactor that removes or renames
 one of those names breaks the traced runs."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +43,14 @@ def test_bench_layers_install_and_restore(monkeypatch):
     assert np.array_equal(clip.decisions, algorithms.run_clip(inst, advice, 2.0).decisions)
     assert (algorithms.run_alg1, algorithms.minimize_pseudo_cost,
             harness.run_clip, dict(harness._RUNNERS)) == originals
+
+
+def test_bench_smoke():
+    # Every workload at a tiny size, through the bench's own CSV readers and
+    # record checks: the one test that reads the CSV columns as the bench does.
+    root = BENCH.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--smoke"], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "smoke: ok" in proc.stdout, proc.stdout

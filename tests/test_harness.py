@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cflbench.cli import main
-from cflbench.core import DomainError, NumericError, instance_to_dict, save_instance
+from cflbench.core import DomainError, Instance, NumericError, instance_to_dict, save_instance
 from cflbench.harness import (
     RECORD_FIELDS,
     ExperimentRecord,
@@ -58,6 +58,12 @@ def test_record_rejects_sub_optimal_ratio():
         _record(cr=0.5)
     # a hair under 1 from float noise is tolerated
     _record(cr=1.0 - 1e-9)
+    # non-finite costs and ratios are numeric failures; a nan sigma is not
+    for bad in (dict(alg_cost=float("nan")), dict(opt_cost=float("inf")),
+                dict(cr=float("nan"))):
+        with pytest.raises(NumericError):
+            _record(**bad)
+    _record(sigma=float("nan"))
 
 
 def test_record_fields_header():
@@ -240,11 +246,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         "list.json": [doc],
         "empty.json": dict(doc, T=0, costs=[]),
         "nan.json": dict(doc, costs=[[float("nan")] + row[1:] for row in doc["costs"]]),
+        "ragged.json": dict(doc, costs=[doc["costs"][0][:1]] + doc["costs"][1:]),
     }
     for name, bad_doc in bad_docs.items():
         (tmp_path / name).write_text(json.dumps(bad_doc) + "\n")
     runs = [["run", str(tmp_path / name), "--out", str(tmp_path / "y")]
             for name in ("partial.json", "garbage.json", *bad_docs)]
+    # a records file with a short row
+    (tmp_path / "short.csv").write_text(",".join(RECORD_FIELDS) + "\n1,0,2,6,1.0\n")
+    runs.append(["report", str(tmp_path / "short.csv"), "--out", str(tmp_path / "z")])
     # malformed integers from the environment
     sweep = ["sweep", "--algs", "alg1", "--cells", "d=2", "--quick", "--out", str(tmp_path / "w")]
     for env, argv in [(None, run) for run in runs] + [("SEED", sweep), ("THREADS", sweep)]:
@@ -255,14 +265,35 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert main(argv) == 2, (env, argv)
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
-    # a records file claiming to beat the optimum: numeric failure
-    bad = tmp_path / "bad.csv"
-    with open(bad, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        writer.writerow([1, 0, 2, 6, 1.0, 250.0, 50.0, 40.0, 50.0, "",
-                         "alg1", "", 1.0, 2.0, 0.5])
-    assert main(["report", str(bad), "--out", str(tmp_path / "z")]) == 3
+        if env is None:
+            # the message names the bad file
+            assert argv[1] in err, err
+    # records claiming to beat the optimum or carrying nan costs: numeric failures
+    for row in ([1, 0, 2, 6, 1.0, 250.0, 50.0, 40.0, 50.0, "", "alg1", "", 1.0, 2.0, 0.5],
+                [1, 0, 2, 6, 1.0, 250.0, 50.0, 40.0, 50.0, "", "alg1", "", "nan", "nan", "nan"]):
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(RECORD_FIELDS)
+            writer.writerow(row)
+        assert main(["report", str(bad), "--out", str(tmp_path / "z")]) == 3, row
+
+
+def test_report_groups_instances_without_generator_config(tmp_path):
+    # bare instances carry sigma = nan; equal cells must still group into one row
+    rng = np.random.default_rng(7)
+    files = []
+    for k in range(3):
+        inst = Instance(d=2, T=6, L=1.0, U=10.0, c_weights=[1.0, 1.0],
+                        w_weights=[1.0, 1.0], costs=rng.uniform(1.0, 10.0, (6, 2)))
+        files.append(str(tmp_path / f"bare{k}.json"))
+        save_instance(inst, files[-1])
+    records_csv = str(tmp_path / "records.csv")
+    records_to_csv(cmd_run(files, ["alg1"]), records_csv)
+    assert main(["report", records_csv, "--out", str(tmp_path / "report")]) == 0
+    with open(tmp_path / "report" / "aggregates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["algorithm"], row["sigma"], row["n"]) for row in rows] == [("alg1", "nan", "3")]
 
 
 def test_cli_env_fallback(tmp_path, monkeypatch):

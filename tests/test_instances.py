@@ -4,7 +4,7 @@ star-metric reduction."""
 import numpy as np
 import pytest
 
-from cflbench.core import DomainError, Instance, instance_from_dict, instance_to_dict
+from cflbench.core import DomainError, Instance, instance_from_dict, instance_to_dict, make_trajectory
 from cflbench.instances import (
     AdversaryConfig,
     GeneratorConfig,
@@ -100,6 +100,16 @@ def test_inactive_advice_shape_and_mass():
         fired = np.flatnonzero(adv @ inst.c_weights > 1e-12)
         need_steps = int(np.ceil(1.0 / float(np.max(inst.c_weights))))
         assert fired[0] >= inst.T - need_steps - 1
+
+
+def test_inactive_advice_moves_from_its_previous_decision():
+    # the forced window opens at step 1, idles at step 2 and reopens at step 3,
+    # where the fill must price movement from the idle step's zero decision
+    inst = Instance(d=2, T=4, L=1.0, U=10.0, c_weights=[0.3, 0.3], w_weights=[1.0, 0.2],
+                    costs=[[3.0, 2.4], [0.3, 0.3], [2.0, 1.5], [1.5, 1.5]])
+    adv = make_inactive_advice(inst)
+    np.testing.assert_allclose(adv, [[1.0, 1.0], [0.0, 0.0], [1.0 / 3.0, 1.0], [0.0, 0.0]])
+    assert make_trajectory(inst, adv).total_cost == pytest.approx(11.0 + 1.0 / 30.0)
 
 
 def test_star_distance_examples():
