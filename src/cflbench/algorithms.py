@@ -140,10 +140,10 @@ class _PlayerBase:
 
 
 class _Alg1Player(_PlayerBase):
-    def __init__(self, *args, params: Optional[ThresholdParams] = None) -> None:
+    def __init__(self, *args) -> None:
         super().__init__(*args)
         beta = float(np.max(self.w_weights / self.c_weights))
-        self.params = params or make_threshold_params(self.L, self.U, beta)
+        self.params = make_threshold_params(self.L, self.U, beta)
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         ctx = StepContext(
@@ -223,7 +223,7 @@ _PLAYERS = {
 
 
 def make_player(name: str, d: int, T: int, L: float, U: float,
-                c_weights: np.ndarray, w_weights: np.ndarray, **kwargs):
+                c_weights: np.ndarray, w_weights: np.ndarray):
     """Instantiate an advice-free incremental player by name."""
     try:
         cls = _PLAYERS[name]
@@ -231,8 +231,7 @@ def make_player(name: str, d: int, T: int, L: float, U: float,
         raise DomainError(
             f"unknown algorithm {name!r}; choose from {sorted(_PLAYERS)}"
         ) from None
-    return cls(d, T, L, U, np.asarray(c_weights, dtype=float),
-               np.asarray(w_weights, dtype=float), **kwargs)
+    return cls(d, T, L, U, c_weights, w_weights)
 
 
 def _check_advice(instance: Instance, advice: np.ndarray) -> np.ndarray:
@@ -352,9 +351,9 @@ def _drive(cls, instance: Instance, **kwargs) -> Trajectory:
     return make_trajectory(instance, np.asarray(xs))
 
 
-def run_alg1(instance: Instance, params: Optional[ThresholdParams] = None) -> Trajectory:
+def run_alg1(instance: Instance) -> Trajectory:
     """Run the threshold player over a full instance."""
-    return _drive(_Alg1Player, instance, params=params)
+    return _drive(_Alg1Player, instance)
 
 
 def run_agnostic(instance: Instance) -> Trajectory:
@@ -369,12 +368,7 @@ def run_simple_threshold(instance: Instance) -> Trajectory:
     return _drive(_SimpleThresholdPlayer, instance)
 
 
-def run_clip(
-    instance: Instance,
-    advice: np.ndarray,
-    epsilon: float,
-    params: Optional[ThresholdParams] = None,
-) -> Trajectory:
+def run_clip(instance: Instance, advice: np.ndarray, epsilon: float) -> Trajectory:
     """Run the advice-following player.
 
     Decisions minimize the augmented-threshold pseudo-cost subject to the
@@ -390,16 +384,12 @@ def run_clip(
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     advice = _check_advice(instance, advice)
-    beta = instance.beta
-    if params is None or params.gamma_eps is None:
-        alpha = make_threshold_params(instance.L, instance.U, beta).alpha
-        if alpha <= 1.0 + 1e-12:
-            # Degenerate flat-price case: the threshold is constant and the
-            # augmented rate has no room to move.
-            params = make_threshold_params(instance.L, instance.U, beta)
-        else:
-            eps_thr = min(epsilon, alpha - 1.0)
-            params = make_threshold_params(instance.L, instance.U, beta, epsilon=eps_thr)
+    L, U, beta = instance.L, instance.U, instance.beta
+    params = make_threshold_params(L, U, beta)
+    # With flat prices (alpha = 1) the threshold is constant and the
+    # augmented rate has no room to move.
+    if params.alpha > 1.0 + 1e-12:
+        params = make_threshold_params(L, U, beta, epsilon=min(epsilon, params.alpha - 1.0))
     return _drive(_ClipPlayer, instance, advice=advice, epsilon=epsilon, params=params)
 
 

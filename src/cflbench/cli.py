@@ -2,8 +2,10 @@
 
 Subcommands: gen (write instance files), run (roster over instance files),
 sweep (generator grid), adversary (adaptive lower-bound probe), report
-(re-aggregate a records CSV).  Every flag can also be supplied through an
-environment variable with the CFLBENCH_ prefix (flag wins).
+(re-aggregate a records CSV).  Each subcommand takes a flag only for the
+settings it reads.  A setting comes from its flag --NAME, else from the
+environment variable CFLBENCH_NAME, else from the subcommand's default,
+and one parser per setting reads all three.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -11,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,26 +42,14 @@ from .offline import AdviceConfig
 ENV_PREFIX = "CFLBENCH_"
 
 _DEFAULT_CELL = {"d": 5, "u": 250.0, "beta": 50.0, "sigma": 50.0}
+_CELL = ",".join(f"{key}={value:g}" for key, value in _DEFAULT_CELL.items())
 
 
-def _env(name: str) -> Optional[str]:
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
-def _resolve(flag_value, name: str, default):
-    if flag_value is not None:
-        return flag_value
-    raw = _env(name)
-    if raw is None:
-        return default
-    return raw
-
-
-def _int(raw, name: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_cells(spec: str) -> list[dict]:
@@ -75,32 +66,20 @@ def _parse_cells(spec: str) -> list[dict]:
             if not piece:
                 continue
             if "=" not in piece:
-                raise DomainError(f"bad cell entry {piece!r}, expected key=value")
+                raise ValueError(f"bad cell entry {piece!r}, expected key=value")
             key, _, raw = piece.partition("=")
             key = key.strip().lower()
             if key not in _DEFAULT_CELL:
-                raise DomainError(f"unknown cell key {key!r}")
-            try:
-                cell[key] = int(raw) if key == "d" else float(raw)
-            except ValueError:
-                raise DomainError(f"bad value for cell key {key}: {raw!r}") from None
+                raise ValueError(f"unknown cell key {key!r}")
+            cell[key] = int(raw) if key == "d" else _finite(raw)
         cells.append(cell)
     if not cells:
-        raise DomainError("no cells parsed")
+        raise ValueError("no cells parsed")
     return cells
 
 
 def _parse_floats(raw: str) -> tuple:
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(float(piece))
-        except ValueError:
-            raise DomainError(f"bad numeric list entry {piece!r}") from None
-    return tuple(out)
+    return tuple(_finite(piece) for piece in raw.split(",") if piece.strip())
 
 
 def _parse_algs(raw: str) -> tuple:
@@ -108,41 +87,83 @@ def _parse_algs(raw: str) -> tuple:
     known = set(ADVICE_FREE_ROSTER) | set(ADVISED_ROSTER)
     bad = set(names) - known
     if bad:
-        raise DomainError(f"unknown algorithms: {sorted(bad)}; known: {sorted(known)}")
+        raise ValueError(f"unknown algorithms: {sorted(bad)}; known: {sorted(known)}")
     return names
 
 
-def _sweep_config(args) -> SweepConfig:
-    cells = _parse_cells(_resolve(args.cells, "cells", "d=5,u=250,beta=50,sigma=50"))
-    algs = _parse_algs(_resolve(args.algs, "algs", ",".join(ADVICE_FREE_ROSTER + ADVISED_ROSTER)))
-    eps = _parse_floats(_resolve(args.eps, "eps", "2,5,10"))
-    xi = _parse_floats(_resolve(args.xi, "xi", ""))
-    seed = _int(_resolve(args.seed, "seed", 42), "seed")
-    quick = _resolve(args.quick, "quick", False)
-    if isinstance(quick, str):
-        quick = quick.lower() in ("1", "true", "yes", "on")
-    n = 100 if quick else 1000
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return _BOOLEANS[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {raw!r}") from None
+
+
+# Every setting's one parser and its help text.  A boolean setting is a
+# flag without a value; the flag stands for "1".
+_SETTINGS = {
+    "seed": (int, "master seed"),
+    "cells": (_parse_cells, "semicolon-separated key=value cells (keys d, u = U/L, beta, sigma)"),
+    "algs": (_parse_algs, "comma-separated algorithm names"),
+    "eps": (_parse_floats, "comma-separated epsilon values"),
+    "xi": (_parse_floats, "comma-separated advice-quality values"),
+    "out": (Path, "output directory"),
+    "quick": (_parse_bool, "smaller run: 100 instances per cell, or a 10 x 20 probe"),
+    "threads": (int, "worker processes"),
+}
+
+# Subcommand name -> (handler, help, positional argument, setting defaults).
+_COMMANDS: dict = {}
+
+
+def _command(summary: str, positional: tuple = (), **defaults: str):
+    """Register ``_cmd_<name>`` as the subcommand <name>, taking a flag for
+    each setting named in ``defaults`` (raw values, read by the setting's
+    parser) and the optional ``(name, nargs, help)`` positional argument."""
+    def register(handler):
+        _COMMANDS[handler.__name__.removeprefix("_cmd_")] = (
+            handler, summary, positional, defaults)
+        return handler
+    return register
+
+
+def _resolve(args: argparse.Namespace, name: str, default: str):
+    """The flag, else CFLBENCH_<NAME>, else the default, through the
+    setting's parser; a value it cannot parse is a ConfigError."""
+    source, raw = f"--{name}", getattr(args, name)
+    if raw is None:
+        source = ENV_PREFIX + name.upper()
+        raw = os.environ.get(source, default)
+    try:
+        return _SETTINGS[name][0](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def _sweep_config(args, **advised) -> SweepConfig:
     # The grid is the cross product of the per-key value sets found in the
     # requested cells; a single cell spec stays a single cell.
+    cells = args.cells
     return SweepConfig(
         d_values=tuple(sorted({c["d"] for c in cells})),
         u_over_l_values=tuple(sorted({c["u"] for c in cells})),
         beta_values=tuple(sorted({c["beta"] for c in cells})),
         sigma_values=tuple(sorted({c["sigma"] for c in cells})),
-        xi_values=xi,
-        epsilon_values=eps,
-        instances_per_cell=n,
-        seed=seed,
-        algorithms=algs,
+        instances_per_cell=100 if args.quick else 1000,
+        seed=args.seed,
+        **advised,
     )
 
 
 def _out_dir(args) -> Path:
-    out = Path(_resolve(args.out, "out", "results"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
+@_command("write synthetic instance files", seed="42", cells=_CELL, quick="0", out="results")
 def _cmd_gen(args) -> int:
     config = _sweep_config(args)
     out = _out_dir(args)
@@ -157,22 +178,26 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@_command("run algorithms over instance files", ("files", "+", "serialized instance files"),
+          algs=",".join(ADVICE_FREE_ROSTER), eps="2", xi="", out="results")
 def _cmd_run(args) -> int:
-    algs = _parse_algs(_resolve(args.algs, "algs", ",".join(ADVICE_FREE_ROSTER)))
-    eps = _parse_floats(_resolve(args.eps, "eps", "2"))
-    xi = _parse_floats(_resolve(args.xi, "xi", ""))
-    advice = AdviceConfig(xi=xi[0]) if xi else None
-    records = cmd_run(args.files, algs, advice_config=advice, epsilon_values=eps)
+    if len(args.xi) > 1:
+        raise ConfigError(f"run takes one --xi value, got {len(args.xi)}")
+    advice = AdviceConfig(xi=args.xi[0]) if args.xi else None
+    records = cmd_run(args.files, args.algs, advice_config=advice, epsilon_values=args.eps)
     out = _out_dir(args)
     records_to_csv(records, str(out / "records.csv"))
     print(f"wrote {len(records)} records to {out / 'records.csv'}")
     return 0
 
 
+@_command("run a generator-grid sweep", seed="42", cells=_CELL,
+          algs=",".join(ADVICE_FREE_ROSTER + ADVISED_ROSTER), eps="2,5,10", xi="",
+          quick="0", threads="1", out="results")
 def _cmd_sweep(args) -> int:
-    config = _sweep_config(args)
-    threads = _int(_resolve(args.threads, "threads", 1), "threads")
-    records, aggregates, cdf = cmd_sweep(config, threads=threads)
+    config = _sweep_config(args, xi_values=args.xi, epsilon_values=args.eps,
+                           algorithms=args.algs)
+    records, aggregates, cdf = cmd_sweep(config, threads=args.threads)
     out = _out_dir(args)
     records_to_csv(records, str(out / "records.csv"))
     aggregates_to_csv(aggregates, str(out / "aggregates.csv"))
@@ -184,19 +209,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@_command("adaptive lower-bound probe", algs="alg1", quick="0", out="results")
 def _cmd_adversary(args) -> int:
-    algs = _parse_algs(_resolve(args.algs, "algs", "alg1"))
-    quick = _resolve(args.quick, "quick", False)
-    if isinstance(quick, str):
-        quick = quick.lower() in ("1", "true", "yes", "on")
-    m, w_steps, points = (10, 20, 5) if quick else (50, 100, 25)
+    m, w_steps, points = (10, 20, 5) if args.quick else (50, 100, 25)
     L, U, beta = 1.0, 250.0, 0.0
     delta = (U - L) / w_steps
     grid = [U - k * delta for k in
             sorted({int(round(v)) for v in np.linspace(1, w_steps, points)})]
     out = _out_dir(args)
     rows_out = []
-    for name in algs:
+    for name in args.algs:
         report = cmd_adversary(name, grid, m=m, w_steps=w_steps,
                                params={"L": L, "U": U, "beta": beta, "d": 2})
         print(f"{name}: max ratio {report['max_ratio']:.4f} vs alpha {report['alpha']:.4f}")
@@ -207,6 +229,8 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
+@_command("re-aggregate a records CSV", ("records", None, "records CSV to re-aggregate"),
+          out="results")
 def _cmd_report(args) -> int:
     records = _read_records(args.records)
     out = _out_dir(args)
@@ -215,52 +239,38 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError (exit 2, one line)."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cflbench",
         description="Benchmark harness for online optimization with a long-term demand constraint.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, threads=False, files=False, records=False):
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 42)")
-        p.add_argument("--cells", default=None,
-                       help="semicolon-separated cells, e.g. 'd=5,u=250,beta=50,sigma=50'")
-        p.add_argument("--algs", default=None, help="comma-separated algorithm names")
-        p.add_argument("--eps", default=None, help="comma-separated epsilon values")
-        p.add_argument("--xi", default=None, help="comma-separated advice-quality values")
-        p.add_argument("--out", default=None, help="output directory (default ./results)")
-        p.add_argument("--quick", action="store_const", const=True, default=None,
-                       help="100 instances per cell instead of 1000")
-        if threads:
-            p.add_argument("--threads", type=int, default=None, help="worker processes")
-        if files:
-            p.add_argument("files", nargs="+", help="serialized instance files")
-        if records:
-            p.add_argument("records", help="records CSV to re-aggregate")
-
-    common(sub.add_parser("gen", help="write synthetic instance files"))
-    common(sub.add_parser("run", help="run algorithms over instance files"), files=True)
-    common(sub.add_parser("sweep", help="run a generator-grid sweep"), threads=True)
-    common(sub.add_parser("adversary", help="adaptive lower-bound probe"))
-    common(sub.add_parser("report", help="re-aggregate a records CSV"), records=True)
+    for name, (_, summary, positional, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if positional:
+            p.add_argument(positional[0], nargs=positional[1], help=positional[2])
+        for setting, default in defaults.items():
+            parse, text = _SETTINGS[setting]
+            text = f"{text} (env {ENV_PREFIX}{setting.upper()}, default {default!r})"
+            flag = {"action": "store_const", "const": "1"} if parse is _parse_bool else {}
+            p.add_argument(f"--{setting}", help=text, **flag)
     return parser
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "adversary": _cmd_adversary,
-    "report": _cmd_report,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        args = _build_parser().parse_args(argv)
+        handler, _, _, defaults = _COMMANDS[args.command]
+        for name, default in defaults.items():
+            setattr(args, name, _resolve(args, name, default))
+        return handler(args)
     except (DomainError, ConfigError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -145,6 +145,8 @@ class SweepConfig:
                 raise DomainError(f"{name} must be non-empty")
         if self.instances_per_cell < 1:
             raise DomainError("instances_per_cell must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed={self.seed} outside [0, 2**64), the Philox key range")
         unknown = set(self.algorithms) - set(ADVICE_FREE_ROSTER) - set(ADVISED_ROSTER)
         if unknown:
             raise DomainError(f"unknown algorithms: {sorted(unknown)}")

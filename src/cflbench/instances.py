@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -160,10 +160,7 @@ class AdversaryConfig:
         return self.m * (self.w_steps + 4)
 
 
-def y_adversary_run(
-    algorithm: Union[str, Callable],
-    config: AdversaryConfig,
-) -> tuple[float, float]:
+def y_adversary_run(algorithm: str, config: AdversaryConfig) -> tuple[float, float]:
     """Play one adaptive stream against an advice-free player.
 
     The stream opens with m price ceilings, walks the first dimension's
@@ -179,10 +176,7 @@ def y_adversary_run(
     d, T = config.d, config.T
     c = np.ones(d)
     w = np.full(d, config.beta)
-    if callable(algorithm):
-        player = algorithm(d, T, config.L, config.U, c, w)
-    else:
-        player = make_player(algorithm, d, T, config.L, config.U, c, w)
+    player = make_player(algorithm, d, T, config.L, config.U, c, w)
 
     up = np.full(d, config.U)
     prices: list[np.ndarray] = []

@@ -172,7 +172,7 @@ def solve_opt(instance: Instance) -> OfflineSolution:
     cost = traj.total_cost
     if abs(bound - cost) > 1e-7 * max(1.0, abs(cost)):
         raise NumericError(f"dual bound {bound} disagrees with trajectory cost {cost}")
-    if traj.final_utilization < 1.0 - 1e-9:
+    if traj.final_utilization < 1.0 - FEAS_TOL:
         raise NumericError("optimal trajectory failed the covering constraint")
     return OfflineSolution(
         decisions=xs,

@@ -81,7 +81,7 @@ class StepContext:
             raise DomainError(f"z={self.z} outside [0, 1]")
         if self.cap < -FEAS_TOL:
             raise DomainError(f"cap={self.cap} negative")
-        if self.z + self.cap > 1.0 + 1e-9:
+        if self.z + self.cap > 1.0 + FEAS_TOL:
             raise DomainError(f"z + cap = {self.z + self.cap} exceeds 1")
         if np.any(self.c_weights <= 0.0):
             raise DomainError("c_weights must be strictly positive")
@@ -163,7 +163,7 @@ def pseudo_cost_objective(x: np.ndarray, ctx: StepContext) -> float:
     if np.any(x < -FEAS_TOL) or np.any(x > 1.0 + FEAS_TOL):
         raise DomainError("x outside the unit box")
     y = constraint_value(x, ctx.c_weights)
-    if y > _effective_cap(ctx) + 1e-9:
+    if y > _effective_cap(ctx) + FEAS_TOL:
         raise DomainError(f"c(x)={y} exceeds cap {_effective_cap(ctx)}")
     hit = float(ctx.f_t @ x)
     switch = weighted_l1(x - ctx.x_prev, ctx.w_weights)

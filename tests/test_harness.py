@@ -255,17 +255,29 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # a records file with a short row
     (tmp_path / "short.csv").write_text(",".join(RECORD_FIELDS) + "\n1,0,2,6,1.0\n")
     runs.append(["report", str(tmp_path / "short.csv"), "--out", str(tmp_path / "z")])
-    # malformed integers from the environment
+    # malformed settings: integers from the environment, a non-finite list
+    # value, seeds outside the Philox key range, a boolean that is not one,
+    # and two advice levels for run's one
     sweep = ["sweep", "--algs", "alg1", "--cells", "d=2", "--quick", "--out", str(tmp_path / "w")]
-    for env, argv in [(None, run) for run in runs] + [("SEED", sweep), ("THREADS", sweep)]:
+    (tmp_path / "good.json").write_text(json.dumps(doc) + "\n")
+    settings = [
+        ({"SEED": "abc"}, sweep),
+        ({"THREADS": "abc"}, sweep),
+        ({}, ["sweep", "--algs", "baseline", "--xi", "0", "--eps", "nan", *sweep[3:]]),
+        ({}, [*sweep, "--seed", "-1"]),
+        ({}, [*sweep, "--seed", str(2**64)]),
+        ({"QUICK": "banana"}, ["gen", "--cells", "d=2", "--out", str(tmp_path / "g")]),
+        ({}, ["run", "--xi", "0,1", "--out", str(tmp_path / "y"), str(tmp_path / "good.json")]),
+    ]
+    for env, argv in [({}, run) for run in runs] + settings:
         with monkeypatch.context() as mp:
-            if env is not None:
-                mp.setenv("CFLBENCH_" + env, "abc")
+            for name, value in env.items():
+                mp.setenv("CFLBENCH_" + name, value)
             capsys.readouterr()
             assert main(argv) == 2, (env, argv)
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
-        if env is None:
+        if argv in runs:
             # the message names the bad file
             assert argv[1] in err, err
     # records claiming to beat the optimum or carrying nan costs: numeric failures
@@ -277,6 +289,24 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             writer.writerow(RECORD_FIELDS)
             writer.writerow(row)
         assert main(["report", str(bad), "--out", str(tmp_path / "z")]) == 3, row
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--quick", "--cells", "d=1", "--xi", "0.5"],
+    ["run", "--seed", "1", "INSTANCE"],
+    ["adversary", "--quick", "--eps", "2"],
+    ["report", "--seed", "1", "RECORDS"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    save_instance(generate_synthetic(seed=5, index=0, config=GeneratorConfig(d=1)), inst)
+    records = str(tmp_path / "records.csv")
+    records_to_csv(cmd_run([inst], ["alg1"]), records)
+    argv = [{"INSTANCE": inst, "RECORDS": records}.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert "unrecognized arguments" in err, err
 
 
 def test_report_groups_instances_without_generator_config(tmp_path):
