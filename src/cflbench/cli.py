@@ -91,6 +91,17 @@ def _parse_algs(raw: str) -> tuple:
     return names
 
 
+# Most worker processes a sweep may start; the pool starts them all at once.
+MAX_THREADS = 64
+
+
+def _parse_threads(raw: str) -> int:
+    value = int(raw)
+    if not 1 <= value <= MAX_THREADS:
+        raise ValueError(f"{value} is outside 1..{MAX_THREADS}")
+    return value
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -112,7 +123,7 @@ _SETTINGS = {
     "xi": (_parse_floats, "comma-separated advice-quality values"),
     "out": (Path, "output directory"),
     "quick": (_parse_bool, "smaller run: 100 instances per cell, or a 10 x 20 probe"),
-    "threads": (int, "worker processes"),
+    "threads": (_parse_threads, f"worker processes, 1 to {MAX_THREADS}"),
 }
 
 # Subcommand name -> (handler, help, positional argument, setting defaults).

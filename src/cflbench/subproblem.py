@@ -10,9 +10,10 @@ problems over the box [0, 1]^d with a budget-rate cap on c(x):
 
 One closed-form enumerator (``_minimize``) solves both: the free problem
 exactly, and the constrained one at any fixed Lagrange multiplier of the
-consistency constraint, so the constrained solver is a single bisection on
-that multiplier.  Both are deterministic.  A brute-force grid oracle is
-included for cross-checking in low dimension.
+consistency constraint.  The constrained solver searches that multiplier:
+the fill segments' rates are affine in it, so a multiplier that makes a
+given utilization stationary has a closed form, and a few solves bracket
+the optimum within a certified dual gap.  Both are deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,17 +35,23 @@ __all__ = [
     "minimize_pseudo_cost",
     "consistency_slack",
     "minimize_pseudo_cost_constrained",
-    "grid_oracle",
 ]
 
 # Slack allowed when classifying a decision as satisfying the consistency
 # constraint; matches the post-hoc check used by the advice-following runner.
 SLACK_TOL = 1e-9
 
-# Halvings of the normalized multiplier in the constrained solve; the loop
-# also stops once the bracket reaches float resolution.
-_BISECT_STEPS = 60
+# The constrained search stops once the dual value of its last solve is
+# within this fraction of the chord value of its two bracketing minimizers
+# (of L, the cheapest price, when the chord is smaller), which bounds the
+# returned point's pseudo-cost from above.
+DUAL_GAP_TOL = 1e-13
+# Solves the constrained search may spend between its s = 1 test and the
+# mix; at the cap it mixes the bracket it has, which is consistent.
+MAX_SEARCH_SOLVES = 64
 _SECANT_STEPS = 3
+# The enumerator keeps the first of candidates whose values lie this close.
+_TIE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -170,36 +177,81 @@ def pseudo_cost_objective(x: np.ndarray, ctx: StepContext) -> float:
     return hit + switch - _credit(ctx, ctx.z, min(1.0, ctx.z + y))
 
 
-def _segments(
-    ctx: StepContext,
-    s: float = 0.0,
-    a: Optional[np.ndarray] = None,
-) -> list[tuple[float, int, float, float]]:
-    """Per-coordinate linear pieces of the separable movement cost, sorted by
-    marginal cost per unit of utilization.
+class _Relaxation:
+    """Everything about a step's Lagrangian relaxation that does not depend
+    on the multiplier, computed once per step.
 
-    With ``s == 0`` the cost is f.x + ||x - x_prev||_w; with ``0 < s <= 1``
-    and advice ``a`` it is f.x + ||x - x_prev||_w + s ||x - a||_w.
-    Each entry is (rate, coordinate, lo, hi): raising x_i from lo to hi costs
-    rate * c_i per unit of utilization.  Within a coordinate the pieces are
-    convex (nondecreasing rates), and the sort is stable on
-    (rate, coordinate, lo) so fills are deterministic.
+    Without ``cc`` it is the pseudo-cost itself (only ``s == 0`` applies);
+    with ``cc`` it also carries the advice breakpoints of the movement cost
+    and the invariant parts of ``consistency_slack``.
     """
-    f, w, c, xp = ctx.f_t, ctx.w_weights, ctx.c_weights, ctx.x_prev
-    segs: list[tuple[float, int, float, float]] = []
-    for i in range(ctx.d):
-        if s > 0.0:
-            points = sorted({0.0, min(1.0, max(0.0, xp[i])), min(1.0, max(0.0, a[i])), 1.0})
+
+    def __init__(self, ctx: StepContext, cc: Optional[ConsistencyContext] = None) -> None:
+        p = ctx.params
+        self.ctx, self.cc = ctx, cc
+        self.y_max = min(_effective_cap(ctx), float(np.sum(ctx.c_weights)), max(0.0, 1.0 - ctx.z))
+        self.rate = _marginal_rate(ctx)
+        self.dcoef = p.U / self.rate - p.U + 2.0 * p.beta  # exponential coefficient of the threshold
+        self.move_prev = weighted_l1(ctx.x_prev, ctx.w_weights)
+        if cc is None:
+            self.kink, self.move_adv = math.inf, 0.0
+            self.pieces = _pieces(ctx)
         else:
-            points = sorted({0.0, min(1.0, max(0.0, xp[i])), 1.0})
+            self.kink = cc.advice_utilization - cc.z_prev
+            self.move_adv = weighted_l1(cc.a_t, ctx.w_weights)
+            self.budget = _budget(ctx, cc, self.move_adv)
+            self.pieces = _pieces(ctx, cc.a_t)
+            self.slopes = {(i, lo): (base, slope) for base, slope, i, lo, _ in self.pieces}
+
+    def phi(self, y: float) -> float:
+        """The active threshold at utilization z + y."""
+        p = self.ctx.params
+        return p.U - p.beta + self.dcoef * math.exp((self.ctx.z + y) / self.rate)
+
+    def slack_and_cost(self, x: np.ndarray) -> tuple[float, float, float]:
+        """(c(x), consistency slack, pseudo-cost) of x; the slack is
+        ``consistency_slack`` to the last bit."""
+        ctx, p = self.ctx, self.ctx.params
+        y, hit, switch, slack = _slack_terms(x, ctx, self.cc, self.move_adv, self.budget)
+        credit = phi_rate_integral(ctx.z, min(1.0, ctx.z + y), p.U, p.beta, self.rate)
+        return y, slack, hit + switch - credit
+
+
+def _pieces(ctx: StepContext, a: Optional[np.ndarray] = None) -> list[tuple]:
+    """Per-coordinate linear pieces of the separable movement cost
+    f.x + ||x - x_prev||_w + s ||x - a||_w.
+
+    Coordinate i is split at x_prev and, when advice ``a`` is given, at a.
+    Each entry is (base, slope, i, lo, hi): raising x_i from lo to hi costs
+    base + s * slope per unit of x_i.
+    """
+    # Python floats: the same doubles as the arrays, cheaper to combine.
+    f, w, xp = ctx.f_t.tolist(), ctx.w_weights.tolist(), ctx.x_prev.tolist()
+    a = None if a is None else a.tolist()
+    pieces = []
+    for i in range(ctx.d):
+        points = {0.0, min(1.0, max(0.0, xp[i])), 1.0}
+        if a is not None:
+            points.add(min(1.0, max(0.0, a[i])))
+        points = sorted(points)
         for lo, hi in zip(points[:-1], points[1:]):
             if hi - lo <= 0.0:
                 continue
             mid = 0.5 * (lo + hi)
-            slope = f[i] + w[i] * math.copysign(1.0, mid - xp[i])
-            if s > 0.0:
-                slope += s * w[i] * math.copysign(1.0, mid - a[i])
-            segs.append((slope / c[i], i, lo, hi))
+            slope = 0.0 if a is None else w[i] * math.copysign(1.0, mid - a[i])
+            pieces.append((f[i] + w[i] * math.copysign(1.0, mid - xp[i]), slope, i, lo, hi))
+    return pieces
+
+
+def _segments(pieces: list[tuple], s: float, c: np.ndarray) -> list[tuple]:
+    """The pieces at multiplier ``s`` as (rate, i, lo, hi), sorted by marginal
+    cost per unit of utilization: raising x_i from lo to hi costs
+    rate * c_i per unit.  Within a coordinate the pieces are convex
+    (nondecreasing rates), and the sort is stable on (rate, coordinate, lo)
+    so fills are deterministic.
+    """
+    c = c.tolist()
+    segs = [((base + s * slope) / c[i], i, lo, hi) for base, slope, i, lo, hi in pieces]
     segs.sort(key=lambda seg: (seg[0], seg[1], seg[2]))
     return segs
 
@@ -218,11 +270,7 @@ def _fill(segs, c: np.ndarray, d: int, y: float) -> np.ndarray:
     return x
 
 
-def _minimize(
-    ctx: StepContext,
-    s: float = 0.0,
-    cc: Optional[ConsistencyContext] = None,
-) -> np.ndarray:
+def _minimize(step: _Relaxation, s: float = 0.0) -> np.ndarray:
     """Exact minimizer over {x in [0,1]^d : c(x) <= cap} of
 
         f.x + ||x - x_prev||_w + s ||x - a||_w - (1 - s) credit(y) - s B(y),
@@ -242,18 +290,15 @@ def _minimize(
     root; the walk below visits them in increasing y and keeps the first
     best, so ties go to smaller added utilization.
     """
-    cap = _effective_cap(ctx)
-    y_max = min(cap, float(np.sum(ctx.c_weights)), max(0.0, 1.0 - ctx.z))
+    ctx = step.ctx
+    y_max = step.y_max
     if y_max <= 1e-15:
         return np.zeros(ctx.d)
 
     p = ctx.params
     U, L, beta = p.U, p.L, p.beta
-    rate = _marginal_rate(ctx)
-    dcoef = U / rate - U + 2.0 * beta  # exponential coefficient of the threshold
-    a = None if cc is None else cc.a_t
-    kink = math.inf if cc is None else cc.advice_utilization - cc.z_prev
-    segs = _segments(ctx, s, a)
+    rate, dcoef, kink = step.rate, step.dcoef, step.kink
+    segs = _segments(step.pieces, s, ctx.c_weights)
 
     def value(y: float, move: float) -> float:
         v = move
@@ -264,9 +309,9 @@ def _minimize(
         return v
 
     # Movement cost of x = 0, then of the fill as it grows.
-    move0 = weighted_l1(ctx.x_prev, ctx.w_weights)
+    move0 = step.move_prev
     if s > 0.0:
-        move0 += s * weighted_l1(a, ctx.w_weights)
+        move0 += s * step.move_adv
     best_v, best_y = value(0.0, move0), 0.0
     y0 = 0.0
     for seg_rate, i, lo, hi in segs:
@@ -285,7 +330,7 @@ def _minimize(
                         candidates.insert(0, ystar)
             for y in candidates:
                 v = value(y, move0 + seg_rate * (y - y0))
-                if v < best_v - 1e-15:
+                if v < best_v - _TIE:
                     best_v, best_y = v, y
             u0 = u1
         if y1 >= y_max:
@@ -308,7 +353,7 @@ def minimize_pseudo_cost(ctx: StepContext) -> np.ndarray:
     Ties are broken toward smaller added utilization, then lexicographically
     smaller x (the greedy fill is itself deterministic).
     """
-    return _minimize(ctx)
+    return _minimize(_Relaxation(ctx))
 
 
 def fill_to_utilization(ctx: StepContext, y: float) -> np.ndarray:
@@ -326,11 +371,41 @@ def fill_to_utilization(ctx: StepContext, y: float) -> np.ndarray:
     y = min(max(0.0, y), y_max)
     if y <= 1e-15:
         return np.zeros(ctx.d)
-    x = np.clip(_fill(_segments(ctx), ctx.c_weights, ctx.d, y), 0.0, 1.0)
+    segs = _segments(_pieces(ctx), 0.0, ctx.c_weights)
+    x = np.clip(_fill(segs, ctx.c_weights, ctx.d, y), 0.0, 1.0)
     total = constraint_value(x, ctx.c_weights)
     if total > 0.0 and abs(total - y) > 1e-12:
         x = np.clip(x * (y / total), 0.0, 1.0)
     return x
+
+
+def _budget(ctx: StepContext, cc: ConsistencyContext, adv_norm: float) -> float:
+    """(1 + epsilon) times the advice's worst-case completion cost."""
+    return (1.0 + cc.epsilon) * (
+        cc.adv_cost + adv_norm + (1.0 - cc.advice_utilization) * ctx.params.L
+    )
+
+
+def _slack_terms(
+    x: np.ndarray, ctx: StepContext, cc: ConsistencyContext, adv_norm: float, budget: float
+) -> tuple[float, float, float, float]:
+    """(c(x), hitting cost, switching cost, consistency slack) of x, given
+    the step's advice norm ||a||_w and ``_budget``."""
+    L, U, w = ctx.params.L, ctx.params.U, ctx.w_weights
+    y = float(np.sum(ctx.c_weights * np.abs(x)))
+    hit = float(ctx.f_t @ x)
+    switch = float(np.sum(w * np.abs(x - ctx.x_prev)))
+    z_new = cc.z_prev + y
+    spent = (
+        cc.clip_cost_so_far
+        + hit
+        + switch
+        + float(np.sum(w * np.abs(x - cc.a_t)))
+        + adv_norm
+        + (1.0 - z_new) * L
+        + max(cc.advice_utilization - z_new, 0.0) * (U - L)
+    )
+    return y, hit, switch, budget - spent
 
 
 def consistency_slack(x: np.ndarray, ctx: StepContext, cc: ConsistencyContext) -> float:
@@ -342,25 +417,10 @@ def consistency_slack(x: np.ndarray, ctx: StepContext, cc: ConsistencyContext) -
     already over-covered (the max term charges the difference at U - L).
     """
     x = np.asarray(x, dtype=float)
-    L, U = ctx.params.L, ctx.params.U
-    a = cc.a_t
-    w = ctx.w_weights
-    y = constraint_value(x, ctx.c_weights)
-    adv_norm = weighted_l1(a, w)
-    budget = (1.0 + cc.epsilon) * (
-        cc.adv_cost + adv_norm + (1.0 - cc.advice_utilization) * L
-    )
-    z_new = cc.z_prev + y
-    spent = (
-        cc.clip_cost_so_far
-        + float(ctx.f_t @ x)
-        + weighted_l1(x - ctx.x_prev, w)
-        + weighted_l1(x - a, w)
-        + adv_norm
-        + (1.0 - z_new) * L
-        + max(cc.advice_utilization - z_new, 0.0) * (U - L)
-    )
-    return budget - spent
+    if x.shape != ctx.f_t.shape:
+        raise DimensionMismatch("x length != context dimension")
+    adv_norm = weighted_l1(cc.a_t, ctx.w_weights)
+    return _slack_terms(x, ctx, cc, adv_norm, _budget(ctx, cc, adv_norm))[3]
 
 
 def minimize_pseudo_cost_constrained(ctx: StepContext, cc: ConsistencyContext) -> np.ndarray:
@@ -377,13 +437,63 @@ def minimize_pseudo_cost_constrained(ctx: StepContext, cc: ConsistencyContext) -
       by more than SLACK_TOL, no decision is consistent: the advice
       decision, truncated to the step's cap, is returned and the event is
       flagged with a warning; the caller decides how to account for it.
-    * Otherwise the slack of the relaxed minimizer is nondecreasing in s,
-      so s* is bisected down to float resolution.  The relaxed minimizers
-      on either side of s* are mixed onto the constraint boundary: the
-      slack is concave along the segment between them, so the secant
-      through their slacks gives a consistent point.
+    * Otherwise a dual search keeps two relaxed minimizers, one short of the
+      constraint and one meeting it, and solves at a multiplier between
+      them.  It alternates a piece step, which solves in closed form for the
+      multiplier that makes the secant point's utilization stationary on
+      its fill segment (exact once both ends lie on that segment), and a
+      Kelley step, which intersects the two ends' Lagrangian lines.  It
+      stops when the dual value meets the chord value of the two ends
+      within DUAL_GAP_TOL.  The slack is concave along the segment between
+      the ends, so the secant mix of them onto the constraint boundary is
+      consistent, and its pseudo-cost is at most that chord value: the
+      returned point is optimal within the gap.
     """
     return _constrained_with_free(ctx, cc)[0]
+
+
+class _Solve(NamedTuple):
+    """One relaxed minimizer of the constrained search."""
+
+    s: float
+    x: np.ndarray
+    y: float
+    slack: float
+    cost: float
+
+
+def _solve(step: _Relaxation, s: float) -> _Solve:
+    x = _minimize(step, s)
+    return _Solve(s, x, *step.slack_and_cost(x))
+
+
+def _piece_multiplier(step: _Relaxation, lo: _Solve, hi: _Solve, y_m: float) -> float:
+    """A multiplier strictly between ``lo.s`` and ``hi.s`` at which
+    utilization ``y_m`` is the stationary point of the relaxation, on a fill
+    segment (in the order at ``lo.s``) whose span holds ``y_m``.  On such a
+    segment the rate is (base + s slope) / c_i, so stationarity,
+    rate - (1 - s) phi(z + y_m) - s B'(y_m) = 0, is linear in s.  Returns
+    nan when no segment gives one."""
+    p, c = step.ctx.params, step.ctx.c_weights
+    phi_m = step.phi(y_m)
+    b_slope = p.U if y_m < step.kink else p.L
+    y1 = 0.0
+    for _, i, start, end in _segments(step.pieces, lo.s, c):
+        y0, y1 = y1, y1 + c[i] * (end - start)
+        # Spans are matched within the fill's empty-step margin, so that a
+        # sliver of a segment (x_prev or the advice a hair off a bound)
+        # does not hide its neighbour.
+        if y1 < y_m - 1e-15:
+            continue
+        if y0 > y_m + 1e-15:
+            break
+        base, slope = step.slopes[i, start]
+        denom = phi_m - b_slope + slope / c[i]
+        if denom != 0.0:
+            s = (phi_m - base / c[i]) / denom
+            if lo.s < s < hi.s:
+                return s
+    return math.nan
 
 
 def _constrained_with_free(
@@ -391,13 +501,12 @@ def _constrained_with_free(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``minimize_pseudo_cost_constrained`` together with the free minimizer
     it starts from, for callers that need both."""
-    x_free = x_lo = _minimize(ctx)
-    slack_lo = consistency_slack(x_lo, ctx, cc)
-    if slack_lo >= 0.0:
-        return x_lo, x_free
-    x_hi = _minimize(ctx, 1.0, cc)
-    slack_hi = consistency_slack(x_hi, ctx, cc)
-    if slack_hi < -SLACK_TOL:
+    x_free = _minimize(_Relaxation(ctx))
+    if consistency_slack(x_free, ctx, cc) >= 0.0:
+        return x_free, x_free
+    step = _Relaxation(ctx, cc)
+    lo, hi = _Solve(0.0, x_free, *step.slack_and_cost(x_free)), _solve(step, 1.0)
+    if hi.slack < -SLACK_TOL:
         warnings.warn(
             "consistency constraint infeasible at every utilization level; "
             "returning truncated advice",
@@ -407,107 +516,48 @@ def _constrained_with_free(
         return _within_cap(ctx, cc.a_t), x_free
 
     # Within SLACK_TOL of infeasible, aim for the least violation there is.
-    target = min(0.0, slack_hi)
-    if slack_lo >= target:
-        return x_lo, x_free
-    s_lo, s_hi = 0.0, 1.0
-    for _ in range(_BISECT_STEPS):
-        s = 0.5 * (s_lo + s_hi)
-        if not s_lo < s < s_hi:
+    target = min(0.0, hi.slack)
+    if lo.slack >= target:
+        return x_free, x_free
+    # The dual value at nu = 0 is the free minimizer's pseudo-cost.
+    dual = lo.cost - _TIE
+    for k in range(MAX_SEARCH_SOLVES):
+        theta = (target - lo.slack) / (hi.slack - lo.slack)  # secant weight of hi
+        chord = lo.cost + theta * (hi.cost - lo.cost)
+        if dual >= chord - DUAL_GAP_TOL * max(abs(chord), ctx.params.L):
             break
-        x = _minimize(ctx, s, cc)
-        slack = consistency_slack(x, ctx, cc)
-        if slack >= target:
-            s_hi, x_hi, slack_hi = s, x, slack
+        s = math.nan
+        if k % 2 == 0:
+            s = _piece_multiplier(step, lo, hi, lo.y + theta * (hi.y - lo.y))
+        if not lo.s < s < hi.s:
+            # Kelley step: the ends' lines P - nu (slack - target) cross at
+            # nu = rise / (hi.slack - lo.slack).
+            rise = hi.cost - lo.cost
+            s = rise / (rise + hi.slack - lo.slack)
+        if not lo.s < s < hi.s:
+            s = 0.5 * (lo.s + hi.s)
+            if not lo.s < s < hi.s:
+                break
+        m = _solve(step, s)
+        # The Lagrangian value at m, less what the enumerator's tie margin
+        # may hide, bounds the optimum from below.
+        dual = m.cost - (s * (m.slack - target) + _TIE) / (1.0 - s)
+        if m.slack >= target:
+            hi = m
         else:
-            s_lo, x_lo, slack_lo = s, x, slack
+            lo = m
 
-    # The slack is concave on the segment to x_hi, so the secant step onto
+    # The slack is concave on the segment to hi.x, so the secant step onto
     # the boundary lands on its feasible side; it is repeated only while
-    # rounding leaves the computed slack short of the target.
-    x, slack = x_lo, slack_lo
-    for _ in range(_SECANT_STEPS):
-        x = x + (target - slack) / (slack_hi - slack) * (x_hi - x)
-        slack = consistency_slack(x, ctx, cc)
+    # rounding leaves the computed slack short of the target, each time
+    # aiming twice as far so that the step does not vanish below the
+    # resolution of x.
+    x, slack = lo.x, lo.slack
+    for j in range(_SECANT_STEPS):
+        x = x + min(1.0, 2.0**j * (target - slack) / (hi.slack - slack)) * (hi.x - x)
+        slack = step.slack_and_cost(x)[1]
         if slack >= target:
             break
     else:
-        x = x_hi
+        x = hi.x
     return _within_cap(ctx, x), x_free
-
-
-def grid_oracle(
-    ctx: StepContext,
-    cc: Optional[ConsistencyContext] = None,
-    grid_n: int = 200,
-) -> np.ndarray:
-    """Brute-force reference minimizer on a uniform grid, d <= 3 only.
-
-    Enumerates grid_n levels per coordinate, masks out decisions violating
-    the cap (and the consistency constraint when ``cc`` is given), and
-    returns the best surviving grid point.  Intended purely as a test
-    oracle for the structured solvers.
-    """
-    if ctx.d > 3:
-        raise DomainError("grid oracle is limited to d <= 3")
-    if grid_n < 2:
-        raise DomainError("grid_n must be at least 2")
-    levels = np.linspace(0.0, 1.0, grid_n)
-    cap = _effective_cap(ctx)
-    p = ctx.params
-
-    best_obj = math.inf
-    best_first: Optional[float] = None
-    best_rest: Optional[np.ndarray] = None
-    # Chunk over the leading coordinate so the d == 3 case stays in memory.
-    # The trailing coordinates' contributions (utilization, hitting cost,
-    # movement toward x_prev and toward the advice) only depend on the chunk
-    # through the scalar ``first``, so they are precomputed once.
-    if ctx.d > 1:
-        mesh = np.meshgrid(*([levels] * (ctx.d - 1)), indexing="ij")
-        rest = np.stack([m.ravel() for m in mesh], axis=1)
-    else:
-        rest = np.zeros((1, 0))
-    rest_util = rest @ ctx.c_weights[1:]
-    rest_hit = rest @ ctx.f_t[1:]
-    rest_move = np.abs(rest - ctx.x_prev[1:]) @ ctx.w_weights[1:]
-    if cc is not None:
-        rest_amove = np.abs(rest - cc.a_t[1:]) @ ctx.w_weights[1:]
-        adv_norm = weighted_l1(cc.a_t, ctx.w_weights)
-        budget = (1.0 + cc.epsilon) * (
-            cc.adv_cost + adv_norm + (1.0 - cc.advice_utilization) * p.L
-        )
-    for first in levels:
-        util = rest_util + first * ctx.c_weights[0]
-        hit = rest_hit + first * ctx.f_t[0]
-        move = rest_move + abs(first - ctx.x_prev[0]) * ctx.w_weights[0]
-        mask = util <= cap + FEAS_TOL
-        if cc is not None:
-            z_new = cc.z_prev + util
-            spent = (
-                cc.clip_cost_so_far
-                + hit
-                + move
-                + rest_amove
-                + abs(first - cc.a_t[0]) * ctx.w_weights[0]
-                + adv_norm
-                + (1.0 - z_new) * p.L
-                + np.maximum(cc.advice_utilization - z_new, 0.0) * (p.U - p.L)
-            )
-            mask &= budget - spent >= -SLACK_TOL
-        if not np.any(mask):
-            continue
-        util_m = util[mask]
-        if p.gamma_eps is not None:
-            credit = phi_eps_integral(ctx.z, np.minimum(1.0, ctx.z + util_m), p)
-        else:
-            credit = phi_integral(ctx.z, np.minimum(1.0, ctx.z + util_m), p)
-        obj = hit[mask] + move[mask] - credit
-        k = int(np.argmin(obj))
-        if obj[k] < best_obj:
-            best_obj = float(obj[k])
-            best_first = first
-            best_rest = rest[np.flatnonzero(mask)[k]].copy()
-    if best_first is None:
-        raise DomainError("no feasible grid point")
-    return np.concatenate([[best_first], best_rest])

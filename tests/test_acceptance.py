@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import grid_oracle
 
 from cflbench.algorithms import (
     run_agnostic,
@@ -37,7 +38,6 @@ from cflbench.subproblem import (
     ConsistencyContext,
     StepContext,
     consistency_slack,
-    grid_oracle,
     minimize_pseudo_cost,
     minimize_pseudo_cost_constrained,
     pseudo_cost_objective,

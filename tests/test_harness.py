@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cflbench.cli import main
+from cflbench.cli import MAX_THREADS, main
 from cflbench.core import DomainError, Instance, NumericError, instance_to_dict, save_instance
 from cflbench.harness import (
     RECORD_FIELDS,
@@ -256,8 +256,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     (tmp_path / "short.csv").write_text(",".join(RECORD_FIELDS) + "\n1,0,2,6,1.0\n")
     runs.append(["report", str(tmp_path / "short.csv"), "--out", str(tmp_path / "z")])
     # malformed settings: integers from the environment, a non-finite list
-    # value, seeds outside the Philox key range, a boolean that is not one,
-    # and two advice levels for run's one
+    # value, seeds outside the Philox key range, worker counts outside
+    # 1..MAX_THREADS (rejected before any pool starts), a boolean that is not
+    # one, and two advice levels for run's one
     sweep = ["sweep", "--algs", "alg1", "--cells", "d=2", "--quick", "--out", str(tmp_path / "w")]
     (tmp_path / "good.json").write_text(json.dumps(doc) + "\n")
     settings = [
@@ -266,6 +267,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ({}, ["sweep", "--algs", "baseline", "--xi", "0", "--eps", "nan", *sweep[3:]]),
         ({}, [*sweep, "--seed", "-1"]),
         ({}, [*sweep, "--seed", str(2**64)]),
+        ({}, [*sweep, "--threads", "0"]),
+        ({}, [*sweep, "--threads", "-3"]),
+        ({}, [*sweep, "--threads", str(MAX_THREADS + 1)]),
         ({"QUICK": "banana"}, ["gen", "--cells", "d=2", "--out", str(tmp_path / "g")]),
         ({}, ["run", "--xi", "0,1", "--out", str(tmp_path / "y"), str(tmp_path / "good.json")]),
     ]

@@ -1,15 +1,19 @@
-"""Per-step pseudo-cost solver, checked against a brute-force grid oracle."""
+"""Per-step pseudo-cost solver, checked against a brute-force grid oracle
+and, for the constrained step, against the bisection it replaced."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bisect_constrained, grid_oracle
 from scipy.optimize import linprog
 
 import cflbench.algorithms as algorithms
+import cflbench.subproblem as subproblem
 from cflbench.core import FEAS_TOL, DimensionMismatch, DomainError, constraint_value, weighted_l1
 from cflbench.instances import GeneratorConfig, generate_synthetic
 from cflbench.offline import AdviceConfig, make_advice, solve_opt, solve_worst
@@ -20,7 +24,6 @@ from cflbench.subproblem import (
     _constrained_with_free,
     consistency_slack,
     fill_to_utilization,
-    grid_oracle,
     minimize_pseudo_cost,
     minimize_pseudo_cost_constrained,
     pseudo_cost_objective,
@@ -498,3 +501,127 @@ def test_step_solvers_properties(case):
         warnings.simplefilter("ignore", RuntimeWarning)
         both = _constrained_with_free(ctx, cc)
     assert np.array_equal(both[0], x_con) and np.array_equal(both[1], x_free)
+
+
+@pytest.fixture(scope="module")
+def headline_steps():
+    """Every constrained step ``run_clip`` meets on the headline grid: the
+    default cell, 20 instances, xi in {0, .25, .5, 1} x eps in {2, 5, 10}."""
+    steps = []
+    solve = algorithms._constrained_with_free
+
+    def recording(ctx, cc):
+        steps.append((ctx, cc))
+        return solve(ctx, cc)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mp.setattr(algorithms, "_constrained_with_free", recording)
+        cfg = GeneratorConfig()
+        for i in range(20):
+            inst = generate_synthetic(seed=42, index=i, config=cfg)
+            opt, worst = solve_opt(inst), solve_worst(inst)
+            for xi in (0.0, 0.25, 0.5, 1.0):
+                advice = make_advice(inst, AdviceConfig(xi=xi), opt=opt, worst=worst)
+                for eps in (2.0, 5.0, 10.0):
+                    algorithms.run_clip(inst, advice, eps)
+    return steps
+
+
+def _target(ctx, cc):
+    """The slack the constrained search aims for: 0, or the least violation
+    any decision reaches when that is within SLACK_TOL."""
+    step = subproblem._Relaxation(ctx, cc)
+    return min(0.0, consistency_slack(subproblem._minimize(step, 1.0), ctx, cc))
+
+
+def _both_searches(ctx, cc):
+    """(decision, warned) of the dual search and of the bisection oracle,
+    plus the oracle's final multiplier."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x_new = minimize_pseudo_cost_constrained(ctx, cc)
+    warned_new = bool(caught)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x_old, s_old = bisect_constrained(ctx, cc)
+    return x_new, warned_new, x_old, bool(caught), s_old
+
+
+def test_constrained_matches_bisection_on_headline_grid(headline_steps):
+    assert len(headline_steps) > 1000
+    for ctx, cc in headline_steps:
+        x_new, warned_new, x_old, warned_old, _ = _both_searches(ctx, cc)
+        assert warned_new == warned_old
+        if warned_new:
+            continue
+        assert consistency_slack(x_new, ctx, cc) >= _target(ctx, cc)
+        new, old = pseudo_cost_objective(x_new, ctx), pseudo_cost_objective(x_old, ctx)
+        assert abs(new - old) <= 1e-12 * max(abs(old), ctx.params.L), (new, old)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(step_contexts())
+def test_constrained_no_worse_than_bisection(case):
+    # On these edge contexts the bisection is itself off where the problem
+    # is degenerate: near s = 1 its relaxed minimizers differ by less than
+    # the enumerator's tie margin, and its secant mix can fall back to the
+    # far end of its bracket.  Its answer is defined only up to its
+    # multiplier nu times the rounding of the slack, so the search must not
+    # be worse than it by more than that; it may be better.
+    ctx, cc = case
+    x_new, warned_new, x_old, warned_old, s_old = _both_searches(ctx, cc)
+    assert warned_new == warned_old
+    if warned_new:
+        return
+    assert consistency_slack(x_new, ctx, cc) >= _target(ctx, cc)
+    new, old = pseudo_cost_objective(x_new, ctx), pseudo_cost_objective(x_old, ctx)
+    nu = s_old / (1.0 - s_old) if s_old < 1.0 else math.inf
+    budget = subproblem._Relaxation(ctx, cc).budget
+    tol = 1e-12 * max(abs(old), ctx.params.L) + 16.0 * nu * math.ulp(budget)
+    assert new <= old + tol, (new, old, tol)
+
+
+def _count_solves(monkeypatch, solve, steps):
+    """Relaxed solves ``solve`` spends on the steps whose free minimizer is
+    inconsistent."""
+    calls = []
+    minimize = subproblem._minimize
+
+    def counting(*args):
+        calls.append(1)
+        return minimize(*args)
+
+    monkeypatch.setattr(subproblem, "_minimize", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for ctx, cc in steps:
+            solve(ctx, cc)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_constrained_search_solve_count(monkeypatch, headline_steps):
+    # The dual search needs a few relaxed solves where the bisection needs
+    # 55-62 on every step it runs; this fails if the bisection comes back.
+    inconsistent = [
+        (ctx, cc) for ctx, cc in headline_steps
+        if consistency_slack(minimize_pseudo_cost(ctx), ctx, cc) < 0.0
+    ]
+    assert len(inconsistent) > 100
+    new = _count_solves(monkeypatch, minimize_pseudo_cost_constrained, inconsistent)
+    old = _count_solves(monkeypatch, bisect_constrained, inconsistent)
+    assert new <= old / 4, (new, old)
+
+
+def test_constrained_search_cap_returns_consistent_mix(monkeypatch, headline_steps):
+    # With a single solve allowed the bracket is still wide; its boundary
+    # mix is consistent all the same, and nothing raises.
+    monkeypatch.setattr(subproblem, "MAX_SEARCH_SOLVES", 1)
+    for ctx, cc in headline_steps:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = minimize_pseudo_cost_constrained(ctx, cc)
+        if not caught:
+            assert consistency_slack(x, ctx, cc) >= _target(ctx, cc)
+        assert constraint_value(x, ctx.c_weights) <= min(1.0, ctx.cap) + FEAS_TOL
