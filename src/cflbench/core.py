@@ -281,9 +281,29 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """A JSON number (an integer when ``integer``), not a boolean."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 def instance_from_dict(doc: dict) -> Instance:
     if not isinstance(doc, dict):
         raise ConfigError(f"instance document must be a JSON object, got {type(doc).__name__}")
+    seed = doc.get("seed")
+    if seed is not None and not _is_number(seed, integer=True):
+        raise ConfigError(
+            f"instance document seed must be an integer or null, got {type(seed).__name__}"
+        )
+    gc = doc.get("generator_config")
+    if gc is not None and not isinstance(gc, dict):
+        raise ConfigError(
+            f"instance document generator_config must be an object or null, got {type(gc).__name__}"
+        )
+    for key in ("index", "sigma", "beta_nominal"):
+        if gc and key in gc and not _is_number(gc[key], integer=key == "index"):
+            kind = "an integer" if key == "index" else "a number"
+            raise ConfigError(f"instance document generator_config.{key} must be {kind}, "
+                              f"got {type(gc[key]).__name__}")
     try:
         return Instance(
             d=int(doc["d"]),
@@ -293,12 +313,12 @@ def instance_from_dict(doc: dict) -> Instance:
             c_weights=np.asarray(doc["c"], dtype=float),
             w_weights=np.asarray(doc["w"], dtype=float),
             costs=np.asarray(doc["costs"], dtype=float),
-            seed=doc.get("seed"),
-            generator_config=doc.get("generator_config"),
+            seed=seed,
+            generator_config=gc,
         )
     except KeyError as exc:
         raise ConfigError(f"instance document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"instance document has a malformed field: {exc}") from exc
 
 

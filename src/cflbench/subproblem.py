@@ -26,7 +26,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import FEAS_TOL, DimensionMismatch, DomainError, constraint_value, weighted_l1
-from .thresholds import ThresholdParams, phi_eps_integral, phi_integral, phi_rate_integral
+from .thresholds import phi_eps_integral, phi_integral  # noqa: F401  (bench/layers.py wraps them)
+from .thresholds import ThresholdParams, phi_rate, phi_rate_coeff, phi_rate_integral
 
 __all__ = [
     "StepContext",
@@ -52,6 +53,9 @@ MAX_SEARCH_SOLVES = 64
 _SECANT_STEPS = 3
 # The enumerator keeps the first of candidates whose values lie this close.
 _TIE = 1e-15
+# Utilization at or below which a step adds nothing: the fill stops, and a
+# step with no more room returns x = 0.
+_EMPTY_STEP = 1e-15
 
 
 @dataclass(frozen=True)
@@ -129,21 +133,6 @@ class ConsistencyContext:
             raise DomainError("epsilon must be positive")
 
 
-def _credit(ctx: StepContext, z0: float, z1: float) -> float:
-    """Threshold integral over [z0, z1], using the augmented threshold when
-    the context's params carry one."""
-    p = ctx.params
-    if p.gamma_eps is not None:
-        return float(phi_eps_integral(z0, z1, p))
-    return float(phi_integral(z0, z1, p))
-
-
-def _marginal_rate(ctx: StepContext) -> float:
-    """Rate parameter of the active threshold (alpha or gamma_eps)."""
-    p = ctx.params
-    return p.alpha if p.gamma_eps is None else p.gamma_eps
-
-
 def _effective_cap(ctx: StepContext) -> float:
     # c(x) <= 1 always; cap can only tighten it.
     return max(0.0, min(1.0, ctx.cap))
@@ -174,7 +163,8 @@ def pseudo_cost_objective(x: np.ndarray, ctx: StepContext) -> float:
         raise DomainError(f"c(x)={y} exceeds cap {_effective_cap(ctx)}")
     hit = float(ctx.f_t @ x)
     switch = weighted_l1(x - ctx.x_prev, ctx.w_weights)
-    return hit + switch - _credit(ctx, ctx.z, min(1.0, ctx.z + y))
+    p = ctx.params
+    return hit + switch - phi_rate_integral(ctx.z, min(1.0, ctx.z + y), p.U, p.beta, p.rate)
 
 
 class _Relaxation:
@@ -190,8 +180,8 @@ class _Relaxation:
         p = ctx.params
         self.ctx, self.cc = ctx, cc
         self.y_max = min(_effective_cap(ctx), float(np.sum(ctx.c_weights)), max(0.0, 1.0 - ctx.z))
-        self.rate = _marginal_rate(ctx)
-        self.dcoef = p.U / self.rate - p.U + 2.0 * p.beta  # exponential coefficient of the threshold
+        self.rate = p.rate
+        self.dcoef = phi_rate_coeff(p.U, p.beta, self.rate)
         self.move_prev = weighted_l1(ctx.x_prev, ctx.w_weights)
         if cc is None:
             self.kink, self.move_adv = math.inf, 0.0
@@ -206,7 +196,7 @@ class _Relaxation:
     def phi(self, y: float) -> float:
         """The active threshold at utilization z + y."""
         p = self.ctx.params
-        return p.U - p.beta + self.dcoef * math.exp((self.ctx.z + y) / self.rate)
+        return phi_rate(self.ctx.z + y, p.U, p.beta, self.rate)
 
     def slack_and_cost(self, x: np.ndarray) -> tuple[float, float, float]:
         """(c(x), consistency slack, pseudo-cost) of x; the slack is
@@ -261,7 +251,7 @@ def _fill(segs, c: np.ndarray, d: int, y: float) -> np.ndarray:
     x = np.zeros(d)
     remaining = y
     for rate, i, lo, hi in segs:
-        if remaining <= 1e-15:
+        if remaining <= _EMPTY_STEP:
             break
         room = c[i] * (hi - lo)
         take = min(room, remaining)
@@ -292,7 +282,7 @@ def _minimize(step: _Relaxation, s: float = 0.0) -> np.ndarray:
     """
     ctx = step.ctx
     y_max = step.y_max
-    if y_max <= 1e-15:
+    if y_max <= _EMPTY_STEP:
         return np.zeros(ctx.d)
 
     p = ctx.params
@@ -369,14 +359,10 @@ def fill_to_utilization(ctx: StepContext, y: float) -> np.ndarray:
         raise DomainError(f"target utilization {y} is negative")
     y_max = min(_effective_cap(ctx), float(np.sum(ctx.c_weights)))
     y = min(max(0.0, y), y_max)
-    if y <= 1e-15:
+    if y <= _EMPTY_STEP:
         return np.zeros(ctx.d)
     segs = _segments(_pieces(ctx), 0.0, ctx.c_weights)
-    x = np.clip(_fill(segs, ctx.c_weights, ctx.d, y), 0.0, 1.0)
-    total = constraint_value(x, ctx.c_weights)
-    if total > 0.0 and abs(total - y) > 1e-12:
-        x = np.clip(x * (y / total), 0.0, 1.0)
-    return x
+    return np.clip(_fill(segs, ctx.c_weights, ctx.d, y), 0.0, 1.0)
 
 
 def _budget(ctx: StepContext, cc: ConsistencyContext, adv_norm: float) -> float:
@@ -483,9 +469,9 @@ def _piece_multiplier(step: _Relaxation, lo: _Solve, hi: _Solve, y_m: float) -> 
         # Spans are matched within the fill's empty-step margin, so that a
         # sliver of a segment (x_prev or the advice a hair off a bound)
         # does not hide its neighbour.
-        if y1 < y_m - 1e-15:
+        if y1 < y_m - _EMPTY_STEP:
             continue
-        if y0 > y_m + 1e-15:
+        if y0 > y_m + _EMPTY_STEP:
             break
         base, slope = step.slopes[i, start]
         denom = phi_m - b_slope + slope / c[i]

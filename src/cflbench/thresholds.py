@@ -8,7 +8,9 @@ root-finder used as a construction-time cross-check.
 
 The advice-aware variant ``phi_eps`` decays at rate ``gamma_eps``, the target
 robustness factor for a given consistency slack ``epsilon``; ``gamma_eps`` has
-no closed form and is computed by bisection.
+no closed form and is computed by bisection.  Both are one formula keyed by
+the decay rate (:func:`phi_rate`, :func:`phi_rate_integral`), and
+``ThresholdParams.rate`` is the rate the step solvers price with.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from .core import DomainError, NumericError
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+# Slack allowed when checking that the public threshold functions' arguments
+# lie in the unit interval and are in order.
+_UNIT_SLACK = 1e-12
 
 
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function for real ``x >= -1/e``.
 
-    Solves ``w * exp(w) = x`` for the branch with ``w >= -1``.  Uses Halley's
-    iteration from a piecewise initial guess; falls back to bisection if the
-    iteration stalls (which can happen within a few ulp of the branch point).
+    Solves ``w * exp(w) = x`` for the branch with ``w >= -1``, by Halley's
+    iteration from a piecewise initial guess.
 
     Parameters
     ----------
@@ -39,7 +43,13 @@ def lambert_w0(x: float) -> float:
     Returns
     -------
     float
-        ``W_0(x)``, with residual ``|w exp(w) - x| <= 1e-12 * max(1, |x|)``.
+        ``W_0(x)``, with residual ``|w exp(w) - x| <= 1e-13 * max(1, |x|)``.
+
+    Raises
+    ------
+    NumericError
+        When the iteration does not meet that residual.  That happens only
+        above about 2.76e307, where ``w exp(w)`` or the Halley step overflows.
     """
     x = float(x)
     branch = -1.0 / math.e
@@ -69,37 +79,8 @@ def lambert_w0(x: float) -> float:
         if abs(f) <= tol:
             return w
         wp1 = w + 1.0
-        if abs(wp1) < 1e-12:
-            break
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0.0 or not math.isfinite(denom):
-            break
-        w_next = w - f / denom
-        if not math.isfinite(w_next):
-            break
-        w = w_next
-
-    w = _lambert_bisect(x)
-    if abs(w * math.exp(w) - x) > 1e-12 * max(1.0, abs(x)):
-        raise NumericError(f"lambert_w0 failed to certify residual at x={x}")
-    return w
-
-
-def _lambert_bisect(x: float) -> float:
-    """Bisection fallback for W_0; g(w) = w exp(w) - x is increasing on [-1, inf)."""
-    lo = -1.0
-    hi = 1.0 if x < math.e else math.log(x) + 1.0
-    while hi * math.exp(hi) < x:
-        hi *= 2.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
+        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+    raise NumericError(f"lambert_w0 failed to certify residual at x={x}")
 
 
 def _validate_lub(L: float, U: float, beta: float) -> None:
@@ -150,17 +131,24 @@ def compute_alpha_bisection(L: float, U: float, beta: float) -> float:
     def h(a: float) -> float:
         return (U - L - 2.0 * beta) - (U - U / a - 2.0 * beta) * math.exp(1.0 / a)
 
-    lo, hi = 1.0, U / L
     # h(1) = (U - L - 2 beta) + 2 beta e > 0 and h(U/L) < 0.
+    lo, hi = _bisect(h, 1.0, U / L)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(f, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi], keeping f(lo) > 0 >= f(hi), until it is no wider than
+    _BISECT_TOL relative to lo (or _BISECT_MAX_ITER halvings); returns the
+    final bracket."""
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
+        if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= _BISECT_TOL * max(1.0, lo):
             break
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def compute_gamma(L: float, U: float, beta: float, epsilon: float) -> float:
@@ -188,17 +176,9 @@ def compute_gamma(L: float, U: float, beta: float, epsilon: float) -> float:
         arg = (U - L - 2.0 * beta) / (U - U / g - 2.0 * beta)
         return g - epsilon - U / L + (g / L) * (U - L) * math.log(arg)
 
-    lo_start = lo = U / (U - 2.0 * beta) + 1e-12
-    hi = U / L
+    lo_start = U / (U - 2.0 * beta) + 1e-12
     # F -> +inf at the lower bracket edge and F(U/L) = -epsilon < 0.
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if F(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL * max(1.0, lo):
-            break
+    lo, hi = _bisect(F, lo_start, U / L)
     # Certified when F changes sign across a bracket no wider than the
     # tolerance.  A residual test cannot work here: next to the pole F is
     # too steep for any point of the bracket to make it small.
@@ -227,6 +207,12 @@ class ThresholdParams:
     epsilon: float | None = None
     gamma_eps: float | None = None
 
+    @property
+    def rate(self) -> float:
+        """Decay rate of the threshold the step solvers price with:
+        ``gamma_eps`` when set (``phi_eps``), else ``alpha`` (``phi``)."""
+        return self.alpha if self.gamma_eps is None else self.gamma_eps
+
 
 def make_threshold_params(
     L: float, U: float, beta: float, epsilon: float | None = None
@@ -244,68 +230,73 @@ def make_threshold_params(
 
 def _check_unit_range(z, name: str) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if np.any(arr < -_UNIT_SLACK) or np.any(arr > 1.0 + _UNIT_SLACK):
         raise DomainError(f"{name} must lie in [0, 1], got {arr}")
     return np.clip(arr, 0.0, 1.0)
 
 
-def _phi_generic(z, U: float, beta: float, rate: float):
-    coeff = U / rate - U + 2.0 * beta
-    return U - beta + coeff * np.exp(np.asarray(z, dtype=float) / rate)
+def phi_rate_coeff(U: float, beta: float, rate: float) -> float:
+    """Coefficient of exp(z / rate) in the threshold decaying at ``rate``;
+    negative unless L == U."""
+    return U / rate - U + 2.0 * beta
 
 
-def _phi_integral_generic(z1, z2, U: float, beta: float, rate: float):
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    coeff = U / rate - U + 2.0 * beta
-    return (U - beta) * (z2 - z1) + rate * coeff * (np.exp(z2 / rate) - np.exp(z1 / rate))
+def phi_rate(z, U: float, beta: float, rate: float, exp=math.exp):
+    """The threshold decaying at ``rate`` (alpha for phi, gamma_eps for
+    phi_eps) at utilization z: U - beta + (U/rate - U + 2 beta) e^(z/rate).
+    Unvalidated; ``exp`` is ``math.exp`` for the step solvers' floats and
+    ``np.exp`` for arrays."""
+    return U - beta + phi_rate_coeff(U, beta, rate) * exp(z / rate)
 
 
-def phi_rate_integral(z1: float, z2: float, U: float, beta: float, rate: float) -> float:
-    """Scalar form of _phi_integral_generic for the step solvers' inner loops:
-    the integral over [z1, z2] of the threshold decaying at ``rate`` (alpha
-    for phi, gamma_eps for phi_eps).  Unvalidated: the caller keeps
-    0 <= z1 <= z2 <= 1."""
-    coeff = U / rate - U + 2.0 * beta
-    return (U - beta) * (z2 - z1) + rate * coeff * (math.exp(z2 / rate) - math.exp(z1 / rate))
+def phi_rate_integral(z1, z2, U: float, beta: float, rate: float, exp=math.exp):
+    """Integral of :func:`phi_rate` over [z1, z2].  Unvalidated: the caller
+    keeps 0 <= z1 <= z2 <= 1."""
+    return (U - beta) * (z2 - z1) + rate * phi_rate_coeff(U, beta, rate) * (
+        exp(z2 / rate) - exp(z1 / rate)
+    )
+
+
+def _augmented_rate(params: ThresholdParams, caller: str) -> float:
+    if params.gamma_eps is None:
+        raise DomainError(f"{caller} requires params built with an epsilon")
+    return params.gamma_eps
+
+
+def _value(z, params: ThresholdParams, rate: float, name: str):
+    z = _check_unit_range(z, name)
+    out = phi_rate(z, params.U, params.beta, rate, np.exp)
+    return float(out) if out.ndim == 0 else out
+
+
+def _integral(z1, z2, params: ThresholdParams, rate: float, caller: str, names: tuple):
+    z1 = _check_unit_range(z1, names[0])
+    z2 = _check_unit_range(z2, names[1])
+    if np.any(z2 < z1 - _UNIT_SLACK):
+        raise DomainError(f"{caller} requires {names[0]} <= {names[1]}")
+    out = phi_rate_integral(z1, np.maximum(z1, z2), params.U, params.beta, rate, np.exp)
+    return float(out) if out.ndim == 0 else out
 
 
 def phi(z, params: ThresholdParams):
     """Threshold value at utilization z; decreasing from U/alpha + beta to L + beta."""
-    z = _check_unit_range(z, "z")
-    out = _phi_generic(z, params.U, params.beta, params.alpha)
-    return float(out) if out.ndim == 0 else out
+    return _value(z, params, params.alpha, "z")
 
 
 def phi_integral(z1, z2, params: ThresholdParams):
     """Exact integral of phi over [z1, z2] for 0 <= z1 <= z2 <= 1 (closed form)."""
-    z1 = _check_unit_range(z1, "z1")
-    z2 = _check_unit_range(z2, "z2")
-    if np.any(z2 < z1 - 1e-12):
-        raise DomainError("phi_integral requires z1 <= z2")
-    out = _phi_integral_generic(z1, np.maximum(z1, z2), params.U, params.beta, params.alpha)
-    return float(out) if out.ndim == 0 else out
+    return _integral(z1, z2, params, params.alpha, "phi_integral", ("z1", "z2"))
 
 
 def phi_eps(p, params: ThresholdParams):
     """Advice-aware threshold at pseudo-utilization p (requires gamma_eps)."""
-    if params.gamma_eps is None:
-        raise DomainError("phi_eps requires params built with an epsilon")
-    p = _check_unit_range(p, "p")
-    out = _phi_generic(p, params.U, params.beta, params.gamma_eps)
-    return float(out) if out.ndim == 0 else out
+    return _value(p, params, _augmented_rate(params, "phi_eps"), "p")
 
 
 def phi_eps_integral(p1, p2, params: ThresholdParams):
     """Exact integral of phi_eps over [p1, p2] (closed form)."""
-    if params.gamma_eps is None:
-        raise DomainError("phi_eps_integral requires params built with an epsilon")
-    p1 = _check_unit_range(p1, "p1")
-    p2 = _check_unit_range(p2, "p2")
-    if np.any(p2 < p1 - 1e-12):
-        raise DomainError("phi_eps_integral requires p1 <= p2")
-    out = _phi_integral_generic(p1, np.maximum(p1, p2), params.U, params.beta, params.gamma_eps)
-    return float(out) if out.ndim == 0 else out
+    rate = _augmented_rate(params, "phi_eps_integral")
+    return _integral(p1, p2, params, rate, "phi_eps_integral", ("p1", "p2"))
 
 
 def z_pcm(params: ThresholdParams) -> float:

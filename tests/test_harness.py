@@ -313,6 +313,34 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path, capsys):
     assert "unrecognized arguments" in err, err
 
 
+def _with_generator_config(doc, **fields):
+    return dict(doc, generator_config=dict(doc["generator_config"], **fields))
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: dict(doc, d=float("inf")),
+    lambda doc: dict(doc, T=float("inf")),
+    lambda doc: dict(doc, generator_config="x"),
+    lambda doc: dict(doc, generator_config=3),
+    lambda doc: _with_generator_config(doc, index="x"),
+    lambda doc: _with_generator_config(doc, sigma=None),
+    lambda doc: dict(doc, seed="x"),
+    lambda doc: dict(doc, seed=1.5),
+], ids=["d-inf", "T-inf", "config-str", "config-int", "index-str", "sigma-null",
+        "seed-str", "seed-float"])
+def test_cli_run_rejects_malformed_bookkeeping_fields(change, tmp_path, capsys):
+    # One field of a valid document changed: a configuration error on one
+    # stderr line, not a traceback, and no records written that report
+    # would later reject.
+    doc = instance_to_dict(generate_synthetic(seed=5, index=0, config=GeneratorConfig(d=2)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(change(doc)) + "\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 def test_report_groups_instances_without_generator_config(tmp_path):
     # bare instances carry sigma = nan; equal cells must still group into one row
     rng = np.random.default_rng(7)

@@ -28,7 +28,14 @@ from cflbench.subproblem import (
     minimize_pseudo_cost_constrained,
     pseudo_cost_objective,
 )
-from cflbench.thresholds import compute_alpha, make_threshold_params, phi_integral
+from cflbench.thresholds import (
+    compute_alpha,
+    make_threshold_params,
+    phi_eps_integral,
+    phi_integral,
+    phi_rate_coeff,
+    phi_rate_integral,
+)
 
 
 def make_ctx(rng, d=2, L=1.0, U=50.0, beta_frac=0.3, epsilon=None):
@@ -501,6 +508,38 @@ def test_step_solvers_properties(case):
         warnings.simplefilter("ignore", RuntimeWarning)
         both = _constrained_with_free(ctx, cc)
     assert np.array_equal(both[0], x_con) and np.array_equal(both[1], x_free)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(step_contexts())
+def test_objective_uses_the_solvers_threshold_integral(case):
+    # The objective prices utilization with the integral the step solvers
+    # use, keyed by params.rate (gamma_eps with epsilon, alpha without).  The
+    # public array integrals (np.exp rather than math.exp) agree with it to
+    # rounding: a last-bit difference of either exponential is scaled by
+    # rate (U/rate - U + 2 beta), which exceeds U where the rate is large.
+    ctx, _ = case
+    p = ctx.params
+    public = phi_integral if p.gamma_eps is None else phi_eps_integral
+    scale = max(p.U, p.rate * abs(phi_rate_coeff(p.U, p.beta, p.rate)))
+    for x in (minimize_pseudo_cost(ctx), fill_to_utilization(ctx, ctx.cap)):
+        z1 = min(1.0, ctx.z + constraint_value(x, ctx.c_weights))
+        credit = phi_rate_integral(ctx.z, z1, p.U, p.beta, p.rate)
+        hit = float(ctx.f_t @ x)
+        switch = weighted_l1(x - ctx.x_prev, ctx.w_weights)
+        assert pseudo_cost_objective(x, ctx) == hit + switch - credit
+        assert abs(float(public(ctx.z, z1, p)) - credit) <= 1e-14 * scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(step_contexts(), st.floats(0.0, 1.0))
+def test_fill_reaches_its_target(case, share):
+    # The greedy fill alone adds the utilization asked for, to rounding.
+    ctx, _ = case
+    y = share * min(1.0, ctx.cap, float(np.sum(ctx.c_weights)))
+    x = fill_to_utilization(ctx, y)
+    assert np.all(x >= 0.0) and np.all(x <= 1.0)
+    assert abs(constraint_value(x, ctx.c_weights) - y) <= 1e-12
 
 
 @pytest.fixture(scope="module")

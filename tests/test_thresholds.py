@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from cflbench.core import DomainError
+from cflbench.core import DomainError, NumericError
 from cflbench.thresholds import (
     compute_alpha,
     compute_alpha_bisection,
@@ -78,6 +78,14 @@ def test_lambert_domain():
         lambert_w0(-1.0)
 
 
+@pytest.mark.parametrize("x", [9e307, 1e308])
+def test_lambert_uncertified_raises_numeric_error(x):
+    # w exp(w) and the Halley step overflow up here, so no root is
+    # certified: a NumericError (exit 3), not an OverflowError traceback.
+    with pytest.raises(NumericError):
+        lambert_w0(x)
+
+
 def test_alpha_headline_values():
     assert compute_alpha(1.0, 250.0, 50.0) == pytest.approx(ALPHA_1_250_50, rel=1e-12)
     assert compute_alpha(1.0, 250.0, 0.0) == pytest.approx(ALPHA_1_250_0, rel=1e-12)
@@ -112,6 +120,13 @@ def test_alpha_rejects_bad_domain():
         compute_alpha(0.0, 10.0, 0.0)
     with pytest.raises(DomainError):
         compute_alpha(10.0, 1.0, 0.0)
+
+
+def test_params_rate_is_the_active_threshold_rate():
+    plain = make_threshold_params(1.0, 250.0, 50.0)
+    augmented = make_threshold_params(1.0, 250.0, 50.0, epsilon=2.0)
+    assert plain.rate == plain.alpha
+    assert augmented.rate == augmented.gamma_eps != augmented.alpha
 
 
 def test_phi_boundary_values():
