@@ -10,6 +10,11 @@ adaptive adversary drives.
 All players honor the compulsory trade: once waiting any longer could
 leave the demand unfinishable even at maximal purchase rates, they switch
 to a greedy filling controller regardless of prices.
+
+A player checks its inputs where they enter: the weights once, when it is
+built, and each price vector as ``decide`` receives it.  Its steps then
+build their contexts without repeating those checks, from invariants
+computed once per run.
 """
 
 from __future__ import annotations
@@ -27,15 +32,17 @@ from .core import (
     InfeasibleError,
     Instance,
     Trajectory,
-    compulsory_start,
+    _weighted_sum,
     constraint_value,
     make_trajectory,
-    weighted_l1,
 )
 from .subproblem import (
     ConsistencyContext,
     StepContext,
+    _checked_weights,
     _constrained_with_free,
+    _Run,
+    _unchecked,
     fill_to_utilization,
     minimize_pseudo_cost,
     minimize_pseudo_cost_constrained,  # noqa: F401  (bench/layers.py wraps this name)
@@ -112,6 +119,7 @@ class _PlayerBase:
     The base class owns the steps every player shares: once the demand is
     covered it buys nothing, otherwise the subclass's ``_step`` decides;
     then it advances the utilization ``z``, the step ``t`` and ``x_prev``.
+    It checks the weights (``c > 0``, both of length ``d``) once, here.
     """
 
     def __init__(self, d: int, T: int, L: float, U: float,
@@ -120,19 +128,29 @@ class _PlayerBase:
         self.T = T
         self.L = L
         self.U = U
-        self.c_weights = np.asarray(c_weights, dtype=float)
-        self.w_weights = np.asarray(w_weights, dtype=float)
+        self.c_weights, self.w_weights = _checked_weights(c_weights, w_weights, d)
+        self.max_c = float(np.max(self.c_weights))
         self.t = 1
         self.z = 0.0
         self.x_prev = np.zeros(d)
 
     def decide(self, f_t: np.ndarray) -> np.ndarray:
         f_t = np.asarray(f_t, dtype=float)
+        if f_t.shape != (self.d,):
+            raise DimensionMismatch(f"price vector shape {f_t.shape} != ({self.d},)")
+        if self.t > self.T:
+            raise DomainError(f"step index {self.t} outside 1..{self.T}")
         x = np.zeros(self.d) if self.z >= 1.0 - FEAS_TOL else self._step(f_t)
-        self.z += constraint_value(x, self.c_weights)
+        self.z += _weighted_sum(x, self.c_weights)
         self.t += 1
         self.x_prev = x
         return x
+
+    def _compulsory(self) -> bool:
+        """``core.compulsory_start`` at this step: ``(T - t) c_i < 1 - z``
+        for every i holds exactly when it holds for the largest ``c_i``,
+        since rounding ``(T - t) c_i`` is monotone in ``c_i``."""
+        return (self.T - self.t) * self.max_c < 1.0 - self.z
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         """Decision at step ``t`` while the demand is still uncovered."""
@@ -143,23 +161,15 @@ class _Alg1Player(_PlayerBase):
     def __init__(self, *args) -> None:
         super().__init__(*args)
         beta = float(np.max(self.w_weights / self.c_weights))
-        self.params = make_threshold_params(self.L, self.U, beta)
+        self.run = _Run(self.c_weights, self.w_weights, make_threshold_params(self.L, self.U, beta))
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
-        ctx = StepContext(
-            f_t=f_t,
-            x_prev=self.x_prev,
-            z=self.z,
-            cap=1.0 - self.z,
-            c_weights=self.c_weights,
-            w_weights=self.w_weights,
-            params=self.params,
-        )
-        if compulsory_start(self.t, self.z, self):
+        ctx = StepContext._in_run(self.run, f_t, self.x_prev, self.z, 1.0 - self.z)
+        if self._compulsory():
             # Forced filling on the compulsory controller's schedule, but
             # picking the cheapest coordinates: the guarantee needs the
             # player to keep exploiting low prices inside the window.
-            y = min(1.0 - self.z, 1.0, float(np.sum(self.c_weights)))
+            y = min(1.0 - self.z, 1.0, self.run.sum_c)
             return fill_to_utilization(ctx, y)
         return minimize_pseudo_cost(ctx)
 
@@ -175,7 +185,7 @@ class _AgnosticPlayer(_PlayerBase):
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         if self.k is None:
             self.k = int(np.argmin(f_t))
-        if compulsory_start(self.t, self.z, self):
+        if self._compulsory():
             return _controller_decision(self.z, self.t, self.T, self.c_weights)
         x = np.zeros(self.d)
         x[self.k] = min(1.0, (1.0 - self.z) / self.c_weights[self.k])
@@ -204,7 +214,7 @@ class _SimpleThresholdPlayer(_PlayerBase):
     back to the compulsory trade if none ever does."""
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
-        if compulsory_start(self.t, self.z, self):
+        if self._compulsory():
             return _controller_decision(self.z, self.t, self.T, self.c_weights)
         x = np.zeros(self.d)
         hits = np.nonzero(f_t <= math.sqrt(self.U * self.L))[0]
@@ -276,8 +286,8 @@ class _ClipPlayer(_PlayerBase):
                  params: ThresholdParams) -> None:
         super().__init__(*args)
         self.advice = advice
-        self.epsilon = epsilon
-        self.params = params
+        self.epsilon = float(epsilon)
+        self.run = _Run(self.c_weights, self.w_weights, params)
         self.p = 0.0
         self.adv_cost = 0.0
         self.clip_cost = 0.0
@@ -286,58 +296,45 @@ class _ClipPlayer(_PlayerBase):
         self.follow_ratio: Optional[float] = None
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
+        c, w = self.c_weights, self.w_weights
         a_t = self.advice[self.t - 1]
-        self.advice_utilization += constraint_value(a_t, self.c_weights)
-        self.adv_cost += float(f_t @ a_t) + weighted_l1(a_t - self.a_prev, self.w_weights)
+        self.advice_utilization += _weighted_sum(a_t, c)
+        self.adv_cost += float(f_t @ a_t) + _weighted_sum(a_t - self.a_prev, w)
         self.a_prev = a_t
         self.p = min(self.p, self.z)
 
-        if compulsory_start(self.t, self.z, self):
+        if self._compulsory():
             # Compulsory trade: track the advice's remaining plan, scaled to
             # this run's residual demand, and force only what can no longer
             # wait.  Following the advice is what keeps the window within the
             # consistency budget: the advice already paid for its own
             # schedule, so tracking it costs at most that again.
             if self.follow_ratio is None:
-                adv_rest = float(np.sum(self.advice[self.t - 1:] @ self.c_weights))
+                adv_rest = float(np.sum(self.advice[self.t - 1:] @ c))
                 need = 1.0 - self.z
                 self.follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
             x = np.clip(a_t * self.follow_ratio, 0.0, 1.0)
             # The advice may buy more in one step than this run has left
             # to buy: scale onto the residual cap, as the solver steps do.
-            used = constraint_value(x, self.c_weights)
+            used = _weighted_sum(x, c)
             if used > 1.0 - self.z + FEAS_TOL:
                 x *= (1.0 - self.z) / used
                 used = 1.0 - self.z
-            max_later = (self.T - self.t) * float(np.max(self.c_weights))
+            max_later = (self.T - self.t) * self.max_c
             shortfall = (1.0 - self.z - used) - max_later
             if shortfall > FEAS_TOL:
-                x = _top_up(x, shortfall, f_t, self.c_weights)
+                x = _top_up(x, shortfall, f_t, c)
         else:
-            ctx = StepContext(
-                f_t=f_t,
-                x_prev=self.x_prev,
-                z=self.p,
-                cap=1.0 - self.z,
-                c_weights=self.c_weights,
-                w_weights=self.w_weights,
-                params=self.params,
-            )
-            cc = ConsistencyContext(
-                a_t=a_t,
-                adv_cost=self.adv_cost,
-                clip_cost_so_far=self.clip_cost,
-                advice_utilization=self.advice_utilization,
-                z_prev=self.z,
-                epsilon=self.epsilon,
-            )
+            ctx = StepContext._in_run(self.run, f_t, self.x_prev, self.p, 1.0 - self.z)
+            # run_clip checked the advice and epsilon; the rest are floats.
+            cc = _unchecked(ConsistencyContext, a_t=a_t, adv_cost=self.adv_cost,
+                            clip_cost_so_far=self.clip_cost,
+                            advice_utilization=self.advice_utilization,
+                            z_prev=self.z, epsilon=self.epsilon)
             x, x_bar = _constrained_with_free(ctx, cc)
-            self.p += min(
-                constraint_value(x_bar, self.c_weights),
-                constraint_value(x, self.c_weights),
-            )
+            self.p += min(_weighted_sum(x_bar, c), _weighted_sum(x, c))
 
-        self.clip_cost += float(f_t @ x) + weighted_l1(x - self.x_prev, self.w_weights)
+        self.clip_cost += float(f_t @ x) + _weighted_sum(x - self.x_prev, w)
         return x
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: gen (write instance files), run (roster over instance files),
 sweep (generator grid), adversary (adaptive lower-bound probe), report
-(re-aggregate a records CSV).  Each subcommand takes a flag only for the
+(re-aggregate a records CSV), diff (compare two records CSVs).  Each subcommand takes a flag only for the
 settings it reads.  A setting comes from its flag --NAME, else from the
 environment variable CFLBENCH_NAME, else from the subcommand's default,
 and one parser per setting reads all three.
@@ -25,7 +25,9 @@ from .core import CflError, ConfigError, DomainError, save_instance
 from .harness import (
     ADVICE_FREE_ROSTER,
     ADVISED_ROSTER,
+    DIFF_TOLERANCES,
     SweepConfig,
+    _key_text,
     _read_records,
     _write_csv,
     aggregate_records,
@@ -34,6 +36,7 @@ from .harness import (
     cmd_adversary,
     cmd_run,
     cmd_sweep,
+    diff_records,
     records_to_csv,
 )
 from .instances import GeneratorConfig, generate_synthetic
@@ -247,6 +250,28 @@ def _cmd_report(args) -> int:
     out = _out_dir(args)
     aggregates_to_csv(aggregate_records(records), str(out / "aggregates.csv"))
     print(f"re-aggregated {len(records)} records into {out / 'aggregates.csv'}")
+    return 0
+
+
+@_command("compare two records CSVs record by record", ("records", 2, "OLD.csv NEW.csv"))
+def _cmd_diff(args) -> int:
+    old, new = (_read_records(path) for path in args.records)
+    report = diff_records(old, new)
+    joined = len(old) - len(report["only_old"])
+    print(f"records: {len(old)} old, {len(new)} new, {joined} joined, {report['moved']} moved")
+    bounds = [f"<={tol:g}" for tol in DIFF_TOLERANCES]
+    print(f"{'algorithm':<18} {'column':<13}", *(f"{h:>9}" for h in ("identical", *bounds, "beyond")))
+    for (algorithm, column), counts in report["counts"].items():
+        print(f"{algorithm:<18} {column:<13}", *(f"{n:>9}" for n in counts))
+    if report["largest"] is not None:
+        rel, column, a, b = report["largest"]
+        print(f"largest move: {column} {rel:.3g} relative, {getattr(a, column)!r} -> "
+              f"{getattr(b, column)!r} at {_key_text(a)}")
+    for side in ("old", "new"):
+        missing = report[f"only_{side}"]
+        print(f"only in {side}: {len(missing)}")
+        for rec in missing:
+            print(f"  {_key_text(rec)}")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -53,6 +54,7 @@ __all__ = [
     "aggregates_to_csv",
     "cdf_points",
     "cdf_to_csv",
+    "diff_records",
 ]
 
 ADVICE_FREE_ROSTER = ("alg1", "agnostic", "move_to_minimizer", "simple_threshold")
@@ -110,7 +112,8 @@ CDF_FIELDS = GROUP_FIELDS + ("empirical_cr", "fraction")
 
 _group_values = attrgetter(*GROUP_FIELDS)
 # Records sort by cell and xi, then by instance, then by algorithm and epsilon.
-_sort_values = attrgetter(*GROUP_FIELDS[:5], "instance_index", *GROUP_FIELDS[5:])
+_SORT_FIELDS = GROUP_FIELDS[:5] + ("instance_index",) + GROUP_FIELDS[5:]
+_sort_values = attrgetter(*_SORT_FIELDS)
 
 
 def _sortable(values: tuple) -> tuple:
@@ -380,13 +383,16 @@ def _read_records(path: str) -> list[ExperimentRecord]:
                for name, hint in get_type_hints(ExperimentRecord).items()}
     records = []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                records.append(ExperimentRecord(
-                    **{name: parse(row[name]) for name, parse in parsers.items()}
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DomainError(f"{path} line {lineno}: {exc}") from None
+        try:
+            for lineno, row in enumerate(csv.DictReader(fh), start=2):
+                try:
+                    records.append(ExperimentRecord(
+                        **{name: parse(row[name]) for name, parse in parsers.items()}
+                    ))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DomainError(f"{path} line {lineno}: {exc}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DomainError(f"{path} is not a records CSV: {exc}") from None
     return records
 
 
@@ -436,3 +442,65 @@ def cdf_points(records: Sequence[ExperimentRecord]) -> list[dict]:
 
 def cdf_to_csv(points: Sequence[dict], path: str) -> None:
     _write_csv(path, CDF_FIELDS, points)
+
+
+# The cost columns ``diff_records`` compares, and the relative moves that
+# bound its middle buckets.
+DIFF_COLUMNS = ("alg_cost", "opt_cost", "empirical_cr")
+DIFF_TOLERANCES = (1e-12, 1e-9)
+
+
+def _keyed(records: Iterable[ExperimentRecord]) -> dict:
+    """Records by (sort key, occurrence of that key so far)."""
+    seen: Counter = Counter()
+    out = {}
+    for rec in records:
+        key = rec.sort_key()
+        out[key, seen[key]] = rec
+        seen[key] += 1
+    return out
+
+
+def diff_records(old: Sequence[ExperimentRecord], new: Sequence[ExperimentRecord]) -> dict:
+    """Join two record sets on their sort key and say how far each cost
+    column moved.
+
+    Returns ``counts``, mapping (algorithm, column) to the numbers of joined
+    records whose value is bit-identical, within each of DIFF_TOLERANCES
+    relative, or beyond; ``moved``, the number of joined records with any
+    column not bit-identical; ``largest``, (relative move, column, old
+    record, new record) of the largest move or None; and ``only_old`` and
+    ``only_new``, the records the other side lacks, in key order.
+    """
+    old_by_key, new_by_key = _keyed(old), _keyed(new)
+    counts: dict[tuple[str, str], list[int]] = {}
+    largest = None
+    moved = 0
+    for key in sorted(old_by_key.keys() & new_by_key.keys()):
+        a, b = old_by_key[key], new_by_key[key]
+        buckets = []
+        for column in DIFF_COLUMNS:
+            x, y = getattr(a, column), getattr(b, column)
+            if repr(x) == repr(y):  # the CSV's own round-trip spelling
+                bucket = 0
+            else:
+                rel = abs(y - x) / abs(x) if x else math.inf
+                bucket = 1 + sum(rel > tol for tol in DIFF_TOLERANCES)
+                if largest is None or rel > largest[0]:
+                    largest = (rel, column, a, b)
+            counts.setdefault((a.algorithm, column), [0] * (len(DIFF_TOLERANCES) + 2))[bucket] += 1
+            buckets.append(bucket)
+        moved += any(buckets)
+    return {
+        "counts": dict(sorted(counts.items(),
+                              key=lambda item: (item[0][0], DIFF_COLUMNS.index(item[0][1])))),
+        "moved": moved,
+        "largest": largest,
+        "only_old": [old_by_key[k] for k in sorted(old_by_key.keys() - new_by_key.keys())],
+        "only_new": [new_by_key[k] for k in sorted(new_by_key.keys() - old_by_key.keys())],
+    }
+
+
+def _key_text(rec: ExperimentRecord) -> str:
+    """A record's sort key as ``name=value`` pairs."""
+    return " ".join(f"{name}={_fmt(value)}" for name, value in zip(_SORT_FIELDS, _sort_values(rec)))

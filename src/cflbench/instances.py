@@ -16,8 +16,7 @@ from .core import (
     DimensionMismatch,
     DomainError,
     Instance,
-    compulsory_start,
-    constraint_value,
+    _weighted_sum,
     make_trajectory,
     validate_instance,
 )
@@ -204,7 +203,7 @@ def y_adversary_run(algorithm: str, config: AdversaryConfig) -> tuple[float, flo
                 break
             x = feed(offer)
             offers += 1
-            accepted_any = constraint_value(x, c) > 1e-12
+            accepted_any = _weighted_sum(x, c) > 1e-12
             if accepted_any:
                 while (
                     np.max(np.abs(decisions[-1])) > 1e-12
@@ -237,7 +236,7 @@ class _InactiveAdvicePlayer(_Alg1Player):
     """Idles until its own compulsory trade, then takes alg1's step there."""
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
-        if compulsory_start(self.t, self.z, self):
+        if self._compulsory():
             return super()._step(f_t)
         return np.zeros(self.d)
 

@@ -20,12 +20,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FEAS_TOL, DimensionMismatch, DomainError, constraint_value, weighted_l1
+from .core import (
+    FEAS_TOL,
+    DimensionMismatch,
+    DomainError,
+    _as_vector,
+    _weighted_sum,
+    constraint_value,
+    weighted_l1,
+)
 from .thresholds import phi_eps_integral, phi_integral  # noqa: F401  (bench/layers.py wraps them)
 from .thresholds import ThresholdParams, phi_rate, phi_rate_coeff, phi_rate_integral
 
@@ -58,6 +66,53 @@ _TIE = 1e-15
 _EMPTY_STEP = 1e-15
 
 
+def _vector(value, name: str, d: int) -> np.ndarray:
+    arr = _as_vector(value, name)
+    if arr.shape[0] != d:
+        raise DimensionMismatch(f"{name} length {arr.shape[0]} != {d}")
+    return arr
+
+
+def _checked_weights(c_weights, w_weights, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight vectors as float arrays of length ``d``, with ``c > 0``."""
+    c = _vector(c_weights, "c_weights", d)
+    if np.any(c <= 0.0):
+        raise DomainError("c_weights must be strictly positive")
+    return c, _vector(w_weights, "w_weights", d)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from values its caller
+    has checked, without ``__post_init__``.  Freezing blocks attribute
+    assignment, not the instance dict."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+class _Run:
+    """What every step of one run shares: the checked weights (as arrays and
+    as Python floats, the same doubles and cheaper to combine one by one),
+    ``sum(c)``, and the threshold's params, rate and coefficient."""
+
+    def __init__(self, c_weights: np.ndarray, w_weights: np.ndarray,
+                 params: ThresholdParams) -> None:
+        self.c_weights, self.w_weights, self.params = c_weights, w_weights, params
+        self.c, self.w = c_weights.tolist(), w_weights.tolist()
+        self.sum_c = float(np.sum(c_weights))
+        self.rate = params.rate
+        self.dcoef = phi_rate_coeff(params.U, params.beta, self.rate)
+
+
+def _check_scalars(z: float, cap: float) -> None:
+    if not 0.0 <= z <= 1.0 + FEAS_TOL:
+        raise DomainError(f"z={z} outside [0, 1]")
+    if cap < -FEAS_TOL:
+        raise DomainError(f"cap={cap} negative")
+    if z + cap > 1.0 + FEAS_TOL:
+        raise DomainError(f"z + cap = {z + cap} exceeds 1")
+
+
 @dataclass(frozen=True)
 class StepContext:
     """Everything a single-step solve needs to know.
@@ -65,7 +120,8 @@ class StepContext:
     ``z`` is the utilization already priced by the threshold (the lower
     integration limit) and ``cap`` bounds the utilization this step may
     add.  ``z + cap`` never exceeds 1: the threshold is only defined on
-    the unit interval.
+    the unit interval.  ``run`` holds the invariants derived from the
+    weights and params.
     """
 
     f_t: np.ndarray
@@ -75,27 +131,27 @@ class StepContext:
     c_weights: np.ndarray
     w_weights: np.ndarray
     params: ThresholdParams
+    run: _Run = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("f_t", "x_prev", "c_weights", "w_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise DimensionMismatch(f"{name} must be one-dimensional")
-            object.__setattr__(self, name, arr)
-        d = self.f_t.shape[0]
-        for name in ("x_prev", "c_weights", "w_weights"):
-            if getattr(self, name).shape[0] != d:
-                raise DimensionMismatch(f"{name} length != f_t length {d}")
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "cap", float(self.cap))
-        if not 0.0 <= self.z <= 1.0 + FEAS_TOL:
-            raise DomainError(f"z={self.z} outside [0, 1]")
-        if self.cap < -FEAS_TOL:
-            raise DomainError(f"cap={self.cap} negative")
-        if self.z + self.cap > 1.0 + FEAS_TOL:
-            raise DomainError(f"z + cap = {self.z + self.cap} exceeds 1")
-        if np.any(self.c_weights <= 0.0):
-            raise DomainError("c_weights must be strictly positive")
+        f_t = _as_vector(self.f_t, "f_t")
+        d = f_t.shape[0]
+        x_prev = _vector(self.x_prev, "x_prev", d)
+        c, w = _checked_weights(self.c_weights, self.w_weights, d)
+        z, cap = float(self.z), float(self.cap)
+        _check_scalars(z, cap)
+        self.__dict__.update(f_t=f_t, x_prev=x_prev, z=z, cap=cap, c_weights=c, w_weights=w,
+                             run=_Run(c, w, self.params))
+
+    @classmethod
+    def _in_run(cls, run: _Run, f_t: np.ndarray, x_prev: np.ndarray,
+                z: float, cap: float) -> "StepContext":
+        """A step of a player, whose entry points checked the arrays: the
+        weights once per run, ``f_t`` on arrival, and ``x_prev`` is its own
+        last decision.  Only the scalars are checked here."""
+        _check_scalars(z, cap)
+        return _unchecked(cls, f_t=f_t, x_prev=x_prev, z=z, cap=cap, c_weights=run.c_weights,
+                          w_weights=run.w_weights, params=run.params, run=run)
 
     @property
     def d(self) -> int:
@@ -140,9 +196,9 @@ def _effective_cap(ctx: StepContext) -> float:
 
 def _within_cap(ctx: StepContext, x: np.ndarray) -> np.ndarray:
     """x clipped to the box, scaled down onto the cap if it exceeds it."""
-    x = np.clip(x, 0.0, 1.0)
+    x = x.clip(0.0, 1.0)
     cap = _effective_cap(ctx)
-    total = constraint_value(x, ctx.c_weights)
+    total = _weighted_sum(x, ctx.c_weights)
     if total > cap and total > 0.0:
         x = x * (cap / total)
     return x
@@ -177,18 +233,18 @@ class _Relaxation:
     """
 
     def __init__(self, ctx: StepContext, cc: Optional[ConsistencyContext] = None) -> None:
-        p = ctx.params
+        run = ctx.run
         self.ctx, self.cc = ctx, cc
-        self.y_max = min(_effective_cap(ctx), float(np.sum(ctx.c_weights)), max(0.0, 1.0 - ctx.z))
-        self.rate = p.rate
-        self.dcoef = phi_rate_coeff(p.U, p.beta, self.rate)
-        self.move_prev = weighted_l1(ctx.x_prev, ctx.w_weights)
+        self.y_max = min(_effective_cap(ctx), run.sum_c, max(0.0, 1.0 - ctx.z))
+        self.rate = run.rate
+        self.dcoef = run.dcoef
+        self.move_prev = _weighted_sum(ctx.x_prev, ctx.w_weights)
         if cc is None:
             self.kink, self.move_adv = math.inf, 0.0
             self.pieces = _pieces(ctx)
         else:
             self.kink = cc.advice_utilization - cc.z_prev
-            self.move_adv = weighted_l1(cc.a_t, ctx.w_weights)
+            self.move_adv = _weighted_sum(cc.a_t, ctx.w_weights)
             self.budget = _budget(ctx, cc, self.move_adv)
             self.pieces = _pieces(ctx, cc.a_t)
             self.slopes = {(i, lo): (base, slope) for base, slope, i, lo, _ in self.pieces}
@@ -216,37 +272,36 @@ def _pieces(ctx: StepContext, a: Optional[np.ndarray] = None) -> list[tuple]:
     base + s * slope per unit of x_i.
     """
     # Python floats: the same doubles as the arrays, cheaper to combine.
-    f, w, xp = ctx.f_t.tolist(), ctx.w_weights.tolist(), ctx.x_prev.tolist()
+    f, w, xp = ctx.f_t.tolist(), ctx.run.w, ctx.x_prev.tolist()
     a = None if a is None else a.tolist()
     pieces = []
-    for i in range(ctx.d):
-        points = {0.0, min(1.0, max(0.0, xp[i])), 1.0}
+    for i in range(len(f)):
+        split = min(1.0, max(0.0, xp[i]))
         if a is not None:
-            points.add(min(1.0, max(0.0, a[i])))
-        points = sorted(points)
+            points = sorted({0.0, split, min(1.0, max(0.0, a[i])), 1.0})
+        else:
+            points = (0.0, split, 1.0) if 0.0 < split < 1.0 else (0.0, 1.0)
+        # The points are distinct, so every piece has positive length.
         for lo, hi in zip(points[:-1], points[1:]):
-            if hi - lo <= 0.0:
-                continue
             mid = 0.5 * (lo + hi)
             slope = 0.0 if a is None else w[i] * math.copysign(1.0, mid - a[i])
             pieces.append((f[i] + w[i] * math.copysign(1.0, mid - xp[i]), slope, i, lo, hi))
     return pieces
 
 
-def _segments(pieces: list[tuple], s: float, c: np.ndarray) -> list[tuple]:
+def _segments(pieces: list[tuple], s: float, c: list[float]) -> list[tuple]:
     """The pieces at multiplier ``s`` as (rate, i, lo, hi), sorted by marginal
     cost per unit of utilization: raising x_i from lo to hi costs
     rate * c_i per unit.  Within a coordinate the pieces are convex
-    (nondecreasing rates), and the sort is stable on (rate, coordinate, lo)
-    so fills are deterministic.
+    (nondecreasing rates).  The tuples sort on (rate, coordinate, lo), a
+    key no two pieces share, so fills are deterministic.
     """
-    c = c.tolist()
     segs = [((base + s * slope) / c[i], i, lo, hi) for base, slope, i, lo, hi in pieces]
-    segs.sort(key=lambda seg: (seg[0], seg[1], seg[2]))
+    segs.sort()
     return segs
 
 
-def _fill(segs, c: np.ndarray, d: int, y: float) -> np.ndarray:
+def _fill(segs, c: list[float], d: int, y: float) -> np.ndarray:
     """Cheapest x with c(x) == y, filling sorted segments greedily."""
     x = np.zeros(d)
     remaining = y
@@ -285,10 +340,10 @@ def _minimize(step: _Relaxation, s: float = 0.0) -> np.ndarray:
     if y_max <= _EMPTY_STEP:
         return np.zeros(ctx.d)
 
-    p = ctx.params
+    p, c = ctx.params, ctx.run.c
     U, L, beta = p.U, p.L, p.beta
     rate, dcoef, kink = step.rate, step.dcoef, step.kink
-    segs = _segments(step.pieces, s, ctx.c_weights)
+    segs = _segments(step.pieces, s, c)
 
     def value(y: float, move: float) -> float:
         v = move
@@ -305,7 +360,7 @@ def _minimize(step: _Relaxation, s: float = 0.0) -> np.ndarray:
     best_v, best_y = value(0.0, move0), 0.0
     y0 = 0.0
     for seg_rate, i, lo, hi in segs:
-        y1 = min(y0 + ctx.c_weights[i] * (hi - lo), y_max)
+        y1 = min(y0 + c[i] * (hi - lo), y_max)
         u0 = y0
         for u1 in ((kink, y1) if y0 < kink < y1 else (y1,)):
             candidates = [u1]
@@ -328,7 +383,7 @@ def _minimize(step: _Relaxation, s: float = 0.0) -> np.ndarray:
         move0 += seg_rate * (y1 - y0)
         y0 = y1
 
-    return _within_cap(ctx, _fill(segs, ctx.c_weights, ctx.d, best_y))
+    return _within_cap(ctx, _fill(segs, c, ctx.d, best_y))
 
 
 def minimize_pseudo_cost(ctx: StepContext) -> np.ndarray:
@@ -357,12 +412,12 @@ def fill_to_utilization(ctx: StepContext, y: float) -> np.ndarray:
     """
     if y < -FEAS_TOL:
         raise DomainError(f"target utilization {y} is negative")
-    y_max = min(_effective_cap(ctx), float(np.sum(ctx.c_weights)))
+    y_max = min(_effective_cap(ctx), ctx.run.sum_c)
     y = min(max(0.0, y), y_max)
     if y <= _EMPTY_STEP:
         return np.zeros(ctx.d)
-    segs = _segments(_pieces(ctx), 0.0, ctx.c_weights)
-    return np.clip(_fill(segs, ctx.c_weights, ctx.d, y), 0.0, 1.0)
+    c = ctx.run.c
+    return np.clip(_fill(_segments(_pieces(ctx), 0.0, c), c, ctx.d, y), 0.0, 1.0)
 
 
 def _budget(ctx: StepContext, cc: ConsistencyContext, adv_norm: float) -> float:
@@ -378,15 +433,15 @@ def _slack_terms(
     """(c(x), hitting cost, switching cost, consistency slack) of x, given
     the step's advice norm ||a||_w and ``_budget``."""
     L, U, w = ctx.params.L, ctx.params.U, ctx.w_weights
-    y = float(np.sum(ctx.c_weights * np.abs(x)))
+    y = _weighted_sum(x, ctx.c_weights)
     hit = float(ctx.f_t @ x)
-    switch = float(np.sum(w * np.abs(x - ctx.x_prev)))
+    switch = _weighted_sum(x - ctx.x_prev, w)
     z_new = cc.z_prev + y
     spent = (
         cc.clip_cost_so_far
         + hit
         + switch
-        + float(np.sum(w * np.abs(x - cc.a_t)))
+        + _weighted_sum(x - cc.a_t, w)
         + adv_norm
         + (1.0 - z_new) * L
         + max(cc.advice_utilization - z_new, 0.0) * (U - L)
@@ -405,7 +460,11 @@ def consistency_slack(x: np.ndarray, ctx: StepContext, cc: ConsistencyContext) -
     x = np.asarray(x, dtype=float)
     if x.shape != ctx.f_t.shape:
         raise DimensionMismatch("x length != context dimension")
-    adv_norm = weighted_l1(cc.a_t, ctx.w_weights)
+    return _consistency_slack(x, ctx, cc)
+
+
+def _consistency_slack(x: np.ndarray, ctx: StepContext, cc: ConsistencyContext) -> float:
+    adv_norm = _weighted_sum(cc.a_t, ctx.w_weights)
     return _slack_terms(x, ctx, cc, adv_norm, _budget(ctx, cc, adv_norm))[3]
 
 
@@ -460,7 +519,7 @@ def _piece_multiplier(step: _Relaxation, lo: _Solve, hi: _Solve, y_m: float) -> 
     segment the rate is (base + s slope) / c_i, so stationarity,
     rate - (1 - s) phi(z + y_m) - s B'(y_m) = 0, is linear in s.  Returns
     nan when no segment gives one."""
-    p, c = step.ctx.params, step.ctx.c_weights
+    p, c = step.ctx.params, step.ctx.run.c
     phi_m = step.phi(y_m)
     b_slope = p.U if y_m < step.kink else p.L
     y1 = 0.0
@@ -488,7 +547,7 @@ def _constrained_with_free(
     """``minimize_pseudo_cost_constrained`` together with the free minimizer
     it starts from, for callers that need both."""
     x_free = _minimize(_Relaxation(ctx))
-    if consistency_slack(x_free, ctx, cc) >= 0.0:
+    if _consistency_slack(x_free, ctx, cc) >= 0.0:
         return x_free, x_free
     step = _Relaxation(ctx, cc)
     lo, hi = _Solve(0.0, x_free, *step.slack_and_cost(x_free)), _solve(step, 1.0)

@@ -161,8 +161,12 @@ def compute_gamma(L: float, U: float, beta: float, epsilon: float) -> float:
     Endpoints: ``gamma_0 = U/L`` (no slack buys no robustness improvement) and
     ``gamma_{alpha-1} = alpha``.  Decreases as epsilon grows.
     """
-    _validate_lub(L, U, beta)
-    alpha = compute_alpha(L, U, beta)
+    return _gamma(L, U, beta, epsilon, compute_alpha(L, U, beta))
+
+
+def _gamma(L: float, U: float, beta: float, epsilon: float, alpha: float) -> float:
+    """``compute_gamma`` for valid (L, U, beta) whose certified alpha is
+    given."""
     if epsilon < 0 or epsilon > alpha - 1.0 + 1e-12:
         raise DomainError(
             f"epsilon = {epsilon} outside [0, alpha - 1] = [0, {alpha - 1.0}]"
@@ -221,7 +225,7 @@ def make_threshold_params(
     alpha = compute_alpha(L, U, beta)
     gamma = None
     if epsilon is not None:
-        gamma = compute_gamma(L, U, beta, epsilon)
+        gamma = _gamma(L, U, beta, epsilon, alpha)
     return ThresholdParams(
         L=float(L), U=float(U), beta=float(beta), alpha=alpha,
         epsilon=None if epsilon is None else float(epsilon), gamma_eps=gamma,

@@ -1,9 +1,11 @@
-"""Reference step solvers the tests check the package's solvers against.
+"""Reference solvers the tests check the package's solvers against.
 
 ``grid_oracle`` enumerates a uniform grid; ``bisect_constrained`` solves the
 constrained step by bisecting the normalized multiplier to float resolution,
 a slow search that ``minimize_pseudo_cost_constrained``'s dual search is
-checked against.  Both are kept out of the package.
+checked against; ``checked_decisions`` runs a player with every input check
+repeated on every step, the reference for the players' lean step path.  All
+are kept out of the package.
 """
 
 import math
@@ -13,14 +15,29 @@ from typing import Optional
 import numpy as np
 
 import cflbench.subproblem as subproblem
-from cflbench.core import FEAS_TOL, DomainError, weighted_l1
+from cflbench.algorithms import (
+    _AgnosticPlayer,
+    _Alg1Player,
+    _ClipPlayer,
+    _MoveToMinimizerPlayer,
+    _SimpleThresholdPlayer,
+    _check_advice,
+    _top_up,
+)
+from cflbench.core import (
+    FEAS_TOL,
+    DomainError,
+    Instance,
+    compulsory_start,
+    weighted_l1,
+)
 from cflbench.subproblem import (
     SLACK_TOL,
     ConsistencyContext,
     StepContext,
     consistency_slack,
 )
-from cflbench.thresholds import phi_eps_integral, phi_integral
+from cflbench.thresholds import make_threshold_params, phi_eps_integral, phi_integral
 
 
 def grid_oracle(
@@ -148,3 +165,110 @@ def bisect_constrained(ctx: StepContext, cc: ConsistencyContext) -> tuple[np.nda
     else:
         x = x_hi
     return subproblem._within_cap(ctx, x), s_hi
+
+
+def _norm(x: np.ndarray, weights: np.ndarray) -> float:
+    """``constraint_value``/``weighted_l1``, shape check and ``np.sum``
+    spelled out, so that a change to the package's sum shows."""
+    x, weights = np.asarray(x, dtype=float), np.asarray(weights, dtype=float)
+    if x.shape != weights.shape or x.ndim != 1:
+        raise DomainError(f"shape mismatch: x {x.shape}, weights {weights.shape}")
+    return float(np.sum(weights * np.abs(x)))
+
+
+class _CheckedSteps:
+    """The players' step loop with every check on every step: fully
+    validated contexts, ``core.compulsory_start``, and checked sums."""
+
+    def decide(self, f_t: np.ndarray) -> np.ndarray:
+        f_t = np.asarray(f_t, dtype=float)
+        x = np.zeros(self.d) if self.z >= 1.0 - FEAS_TOL else self._step(f_t)
+        self.z += _norm(x, self.c_weights)
+        self.t += 1
+        self.x_prev = x
+        return x
+
+    def _compulsory(self) -> bool:
+        return compulsory_start(self.t, self.z, self)
+
+    def _context(self, f_t: np.ndarray, z: float) -> StepContext:
+        return StepContext(f_t=f_t, x_prev=self.x_prev, z=z, cap=1.0 - self.z,
+                           c_weights=self.c_weights, w_weights=self.w_weights,
+                           params=self.run.params)
+
+
+class _CheckedAlg1(_CheckedSteps, _Alg1Player):
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        ctx = self._context(f_t, self.z)
+        if self._compulsory():
+            y = min(1.0 - self.z, 1.0, float(np.sum(self.c_weights)))
+            return subproblem.fill_to_utilization(ctx, y)
+        return subproblem.minimize_pseudo_cost(ctx)
+
+
+class _CheckedInactiveAdvice(_CheckedAlg1):
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        if self._compulsory():
+            return super()._step(f_t)
+        return np.zeros(self.d)
+
+
+class _CheckedClip(_CheckedSteps, _ClipPlayer):
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        c, w = self.c_weights, self.w_weights
+        a_t = self.advice[self.t - 1]
+        self.advice_utilization += _norm(a_t, c)
+        self.adv_cost += float(f_t @ a_t) + _norm(a_t - self.a_prev, w)
+        self.a_prev = a_t
+        self.p = min(self.p, self.z)
+        if self._compulsory():
+            if self.follow_ratio is None:
+                adv_rest = float(np.sum(self.advice[self.t - 1:] @ c))
+                need = 1.0 - self.z
+                self.follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
+            x = np.clip(a_t * self.follow_ratio, 0.0, 1.0)
+            used = _norm(x, c)
+            if used > 1.0 - self.z + FEAS_TOL:
+                x *= (1.0 - self.z) / used
+                used = 1.0 - self.z
+            shortfall = (1.0 - self.z - used) - (self.T - self.t) * float(np.max(c))
+            if shortfall > FEAS_TOL:
+                x = _top_up(x, shortfall, f_t, c)
+        else:
+            cc = ConsistencyContext(a_t=a_t, adv_cost=self.adv_cost,
+                                    clip_cost_so_far=self.clip_cost,
+                                    advice_utilization=self.advice_utilization,
+                                    z_prev=self.z, epsilon=self.epsilon)
+            x, x_bar = subproblem._constrained_with_free(self._context(f_t, self.p), cc)
+            self.p += min(_norm(x_bar, c), _norm(x, c))
+        self.clip_cost += float(f_t @ x) + _norm(x - self.x_prev, w)
+        return x
+
+
+CHECKED_PLAYERS = {
+    "alg1": _CheckedAlg1,
+    "agnostic": type("_CheckedAgnostic", (_CheckedSteps, _AgnosticPlayer), {}),
+    "move_to_minimizer": type("_CheckedMoveToMinimizer",
+                              (_CheckedSteps, _MoveToMinimizerPlayer), {}),
+    "simple_threshold": type("_CheckedSimpleThreshold",
+                             (_CheckedSteps, _SimpleThresholdPlayer), {}),
+    "clip": _CheckedClip,
+    "inactive_advice": _CheckedInactiveAdvice,
+}
+
+
+def checked_decisions(name: str, instance: Instance, advice: Optional[np.ndarray] = None,
+                      epsilon: Optional[float] = None) -> np.ndarray:
+    """Decisions of the ``CHECKED_PLAYERS[name]`` player over the instance.
+    ``clip`` takes the advice and epsilon, and is built as ``run_clip``
+    builds it."""
+    kwargs = {}
+    if name == "clip":
+        L, U, beta = instance.L, instance.U, instance.beta
+        params = make_threshold_params(L, U, beta)
+        if params.alpha > 1.0 + 1e-12:
+            params = make_threshold_params(L, U, beta, epsilon=min(epsilon, params.alpha - 1.0))
+        kwargs = dict(advice=_check_advice(instance, advice), epsilon=epsilon, params=params)
+    player = CHECKED_PLAYERS[name](instance.d, instance.T, instance.L, instance.U,
+                                   instance.c_weights, instance.w_weights, **kwargs)
+    return np.asarray([player.decide(f_t) for f_t in instance.costs])

@@ -7,7 +7,7 @@ from cflbench.core import Instance
 
 
 @st.composite
-def valid_instances(draw, max_d=4, max_T=8):
+def valid_instances(draw, max_d=4, max_T=8, min_d=1):
     """Random instances that pass ``validate_instance``, edges included.
 
     ``d = 1`` and ``T = 1``; unit or non-unit ``c`` down to the smallest
@@ -16,7 +16,7 @@ def valid_instances(draw, max_d=4, max_T=8):
     ``(U - L)/2``, or anywhere below it; prices drawn in [L, U] with mass on
     both ends.
     """
-    d = draw(st.integers(1, max_d))
+    d = draw(st.integers(min_d, max_d))
     T = draw(st.integers(1, max_T))
     kind = draw(st.sampled_from(["general", "flat", "edge"]))
     L = draw(st.floats(0.5, 5.0))

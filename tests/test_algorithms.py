@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import valid_instances
 
+from oracles import checked_decisions
+
 from cflbench.algorithms import (
+    _PLAYERS,
     BaselineConfig,
     _controller_decision,
+    make_player,
     run_agnostic,
     run_alg1,
     run_baseline,
@@ -20,6 +24,7 @@ from cflbench.algorithms import (
 )
 from cflbench.core import (
     FEAS_TOL,
+    DimensionMismatch,
     DomainError,
     InfeasibleError,
     Instance,
@@ -340,3 +345,48 @@ def test_baseline_is_convex_combination():
         want = lam * advice + (1 - lam) * alg1.decisions
         assert np.allclose(base.decisions, want, atol=1e-12)
         assert not trajectory_violations(inst, base.decisions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(valid_instances(), valid_instances(min_d=10, max_d=10)),
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.5, 2.0, 10.0]))
+def test_players_match_the_checked_step_loop(inst, xi, eps):
+    # Checking the inputs once per run, and not on every step, moves no
+    # decision by a bit: every player against the same player with every
+    # check repeated on every step.  The draws cover non-unit c, d = 1,
+    # T = 1, L == U, beta just below (U - L)/2, and d = 10, where numpy
+    # sums pairwise.
+    advice = make_advice(inst, AdviceConfig(xi=xi))
+    runs = {"alg1": run_alg1, "agnostic": run_agnostic,
+            "move_to_minimizer": run_move_to_minimizer,
+            "simple_threshold": run_simple_threshold}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pairs = [(run(inst).decisions, checked_decisions(name, inst))
+                 for name, run in runs.items()]
+        pairs.append((run_clip(inst, advice, eps).decisions,
+                      checked_decisions("clip", inst, advice, eps)))
+    pairs.append((make_inactive_advice(inst), checked_decisions("inactive_advice", inst)))
+    for lean, checked in pairs:
+        assert lean.shape == checked.shape
+        assert lean.tobytes() == checked.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_PLAYERS))
+def test_players_check_their_inputs_where_they_enter(name):
+    # Bad weights are rejected when the player is built, before any step.
+    with pytest.raises(DomainError):
+        make_player(name, 2, 3, 1.0, 10.0, np.array([1.0, 0.0]), np.zeros(2))
+    with pytest.raises(DomainError):
+        make_player(name, 2, 3, 1.0, 10.0, np.array([1.0, -0.5]), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        make_player(name, 2, 3, 1.0, 10.0, np.ones(2), np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        make_player(name, 2, 3, 1.0, 10.0, np.ones(3), np.zeros(2))
+    # A price vector of the wrong length, and a step past T, at decide().
+    player = make_player(name, 2, 1, 1.0, 10.0, np.ones(2), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        player.decide(np.ones(3))
+    player.decide(np.full(2, 5.0))
+    with pytest.raises(DomainError):
+        player.decide(np.full(2, 5.0))

@@ -17,6 +17,7 @@ from cflbench.core import (
     DomainError,
     Instance,
     InfeasibleError,
+    _weighted_sum,
     compulsory_start,
     constraint_value,
     decision_violations,
@@ -227,3 +228,22 @@ def test_error_hierarchy():
     assert issubclass(DomainError, ValueError)
     assert issubclass(InfeasibleError, CflError)
     assert issubclass(InfeasibleError, RuntimeError)
+
+
+@st.composite
+def _vector_pairs(draw):
+    d = draw(st.integers(1, 20))
+    x = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    w = draw(st.lists(st.floats(0.0, 1e3), min_size=d, max_size=d))
+    return np.array(x), np.array(w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_vector_pairs())
+def test_unchecked_sum_is_np_sum_to_the_bit(pair):
+    # The step loops' sum is np.sum's reduction, also where numpy sums
+    # pairwise (eight terms and more); a left-to-right loop is not.
+    x, w = pair
+    expected = float(np.sum(w * np.abs(x)))
+    assert np.float64(_weighted_sum(x, w)).tobytes() == np.float64(expected).tobytes()
+    assert constraint_value(x, w) == expected

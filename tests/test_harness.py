@@ -1,10 +1,15 @@
 """Sweep orchestration, CSV emission, aggregation, and the CLI wrapper."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflbench.cli import MAX_THREADS, main
 from cflbench.core import DomainError, Instance, NumericError, instance_to_dict, save_instance
@@ -365,3 +370,114 @@ def test_cli_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("CFLBENCH_CELLS", "d=2,u=250,beta=50,sigma=50")
     assert main(["sweep"]) == 0
     assert (tmp_path / "env" / "records.csv").exists()
+
+
+def test_cli_diff_counts_moves_and_missing_rows(tmp_path, capsys):
+    files = []
+    for k in range(3):
+        files.append(str(tmp_path / f"inst{k}.json"))
+        save_instance(generate_synthetic(seed=5, index=k, config=GeneratorConfig(d=2)), files[-1])
+    records = cmd_run(files, ["alg1", "agnostic"])
+    old, same, new = (str(tmp_path / f"{name}.csv") for name in ("old", "same", "new"))
+    records_to_csv(records, old)
+    records_to_csv(records, same)
+    assert main(["diff", old, same]) == 0
+    out = capsys.readouterr().out
+    assert "6 joined, 0 moved" in out
+    assert "largest move" not in out
+    assert "only in old: 0" in out and "only in new: 0" in out
+    # One cost moved by 1e-10 relative, one record dropped, one added.
+    moved = [dataclasses.replace(rec, alg_cost=rec.alg_cost * (1 + 1e-10)) if i == 0 else rec
+             for i, rec in enumerate(records[:-1])]
+    moved.append(dataclasses.replace(records[-1], instance_index=99))
+    records_to_csv(moved, new)
+    assert main(["diff", old, new]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "records: 6 old, 6 new, 5 joined, 1 moved"
+    rows = {tuple(line.split()[:2]): [int(n) for n in line.split()[2:]]
+            for line in lines[2:8]}
+    first = records[0].algorithm
+    assert rows[first, "alg_cost"] == [2, 0, 1, 0]
+    assert rows[first, "opt_cost"] == [3, 0, 0, 0]
+    assert lines[8].startswith("largest move: alg_cost 1e-10 relative")
+    assert lines[9] == "only in old: 1" and "instance_index=2" in lines[10]
+    assert lines[11] == "only in new: 1" and "instance_index=99" in lines[12]
+    # A file it cannot read: a configuration error on one line.
+    (tmp_path / "binary.csv").write_bytes(bytes(range(128, 256)))
+    for bad in (str(tmp_path / "absent.csv"), str(tmp_path / "binary.csv"), str(tmp_path)):
+        assert main(["diff", old, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
+
+
+_VALID_DOC = instance_to_dict(generate_synthetic(seed=5, index=0, config=GeneratorConfig(d=2)))
+_CHANGES = ("drop", "type", "shape", "nan", "inf", "negative", "range")
+# Out-of-range values per field: dimensions that no longer match the
+# arrays, L above U, prices outside [L, U], a switching weight past
+# (U - L)/2, and bookkeeping numbers past any use.
+_OUT_OF_RANGE = {"d": lambda v: v + 1, "T": lambda v: v + 1, "L": lambda v: 2.0 * _VALID_DOC["U"],
+                 "U": lambda v: _VALID_DOC["L"] / 2.0, "c": lambda v: 1e6,
+                 "w": lambda v: _VALID_DOC["U"], "costs": lambda v: 2.0 * _VALID_DOC["U"],
+                 "seed": lambda v: 2**64, "index": lambda v: 2**64,
+                 "sigma": lambda v: 1e308, "beta_nominal": lambda v: 1e308}
+# Every change to a physical field makes the document invalid.  Of the
+# bookkeeping fields, the format rejects only a wrong type (a seed or index
+# that is not an integer, a generator_config that is not an object, a sigma
+# or beta_nominal that is not a number); the other changes (a negative seed,
+# no generator_config, ...) leave a valid document that must run.
+_REJECTED = dict.fromkeys(("d", "T", "L", "U", "c", "w", "costs"), set(_CHANGES))
+_REJECTED.update(dict.fromkeys(("seed", "generator_config", "index"),
+                               {"type", "shape", "nan", "inf"}))
+_REJECTED.update(dict.fromkeys(("sigma", "beta_nominal"), {"type", "shape"}))
+
+
+def _changed(field: str, value, change: str, draw):
+    """``value`` of ``field`` after ``change``; array fields change one
+    drawn element, or their length or nesting."""
+    if isinstance(value, list) and change not in ("type", "shape"):
+        flat = [list(row) for row in value] if isinstance(value[0], list) else list(value)
+        row = flat[draw(st.integers(0, len(flat) - 1))] if isinstance(flat[0], list) else flat
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = _changed(field, row[k], change, draw)
+        return flat
+    if change == "type":
+        return "x"
+    if change == "shape":
+        if draw(st.booleans()):
+            return [value]
+        return value[:-1] if isinstance(value, list) else [value, value]
+    if change in ("nan", "inf"):
+        return float(change)
+    if change == "negative":
+        return -1 - value if isinstance(value, int) else -1.0 - value
+    return _OUT_OF_RANGE[field](value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cli_run_survives_any_one_changed_field(tmp_path_factory, data):
+    # One field of a valid document dropped, retyped, reshaped, or set to
+    # NaN, inf, a negative or an out-of-range value: `run` never raises;
+    # it reports a configuration (2) or numeric (3) failure on one stderr
+    # line, and it does so for every change to a physical field.
+    field = data.draw(st.sampled_from(sorted(_REJECTED)))
+    # generator_config is an object: its numbers are changed as its fields.
+    change = data.draw(st.sampled_from(_CHANGES[:5] if field == "generator_config" else _CHANGES))
+    doc = json.loads(json.dumps(_VALID_DOC))
+    holder = doc["generator_config"] if field in ("index", "sigma", "beta_nominal") else doc
+    if change == "drop":
+        del holder[field]
+    else:
+        holder[field] = _changed(field, holder[field], change, data.draw)
+    tmp = tmp_path_factory.mktemp("doc")
+    (tmp / "doc.json").write_text(json.dumps(doc) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(tmp / "doc.json"), "--algs", "alg1", "--out", str(tmp / "out")])
+    if change in _REJECTED[field]:
+        assert code in (2, 3), (field, change, doc)
+    if code == 0:
+        assert (tmp / "out" / "records.csv").exists()
+    else:
+        assert code in (2, 3), (field, change, code)
+        assert err.getvalue().count("\n") == 1 and "doc.json" in err.getvalue(), err.getvalue()

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import cflbench.thresholds as thresholds
 from cflbench.core import DomainError, NumericError
 from cflbench.thresholds import (
     compute_alpha,
@@ -260,3 +261,21 @@ def test_phi_rejects_out_of_range():
         phi(1.5, p)
     with pytest.raises(DomainError):
         phi(-0.2, p)
+
+
+@pytest.mark.parametrize("L, U, beta, eps", [(1.0, 250.0, 50.0, 2.0), (1.0, 250.0, 0.0, 5.0),
+                                             (2.0, 2.0, 0.0, 0.0), (1.0, 40.0, 19.0, 0.5)])
+def test_params_certify_alpha_once(L, U, beta, eps, monkeypatch):
+    # make_threshold_params hands its certified alpha to the gamma solve;
+    # alpha and gamma_eps stay those of the public functions to the bit.
+    expected = (compute_alpha(L, U, beta), compute_gamma(L, U, beta, eps))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compute_alpha(*args)
+
+    monkeypatch.setattr(thresholds, "compute_alpha", counted)
+    params = make_threshold_params(L, U, beta, epsilon=eps)
+    assert len(calls) == 1
+    assert (params.alpha, params.gamma_eps) == expected
