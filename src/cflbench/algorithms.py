@@ -114,7 +114,7 @@ def _controller_decision(z: float, t: int, T: int, c_weights: np.ndarray) -> np.
 
 class _PlayerBase:
     """Incremental online player: decide() consumes price vectors in step
-    order and must be called exactly T times.
+    order, at most T of them.
 
     The base class owns the steps every player shares: once the demand is
     covered it buys nothing, otherwise the subclass's ``_step`` decides;
@@ -339,13 +339,27 @@ class _ClipPlayer(_PlayerBase):
 
 
 def _drive(cls, instance: Instance, **kwargs) -> Trajectory:
-    """Run a ``cls`` player over the instance: the one loop over steps."""
-    player = cls(instance.d, instance.T, instance.L, instance.U,
+    """Run a ``cls`` player over the instance: the one loop over steps.
+
+    The prices must have shape ``(T, d)``; that is checked here, before any
+    step.  Once the demand is covered, ``decide`` would buy nothing for the
+    rest of the run, so the loop stops calling it and leaves those rows
+    zero.
+    """
+    T, d = instance.T, instance.d
+    costs = instance.costs
+    if costs.shape != (T, d):
+        raise DimensionMismatch(f"costs shape {costs.shape} != ({T}, {d})")
+    player = cls(d, T, instance.L, instance.U,
                  instance.c_weights, instance.w_weights, **kwargs)
-    xs = [player.decide(f_t) for f_t in instance.costs]
+    xs = np.zeros((T, d))
+    for t in range(T):
+        if player.z >= 1.0 - FEAS_TOL:
+            break
+        xs[t] = player.decide(costs[t])
     if player.z < 1.0 - FEAS_TOL:
         raise InfeasibleError(f"run finished with utilization {player.z} < 1")
-    return make_trajectory(instance, np.asarray(xs))
+    return make_trajectory(instance, xs)
 
 
 def run_alg1(instance: Instance) -> Trajectory:

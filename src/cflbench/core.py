@@ -281,9 +281,9 @@ def instance_to_dict(instance: Instance) -> dict:
         "T": instance.T,
         "L": instance.L,
         "U": instance.U,
-        "c": [float(v) for v in instance.c_weights],
-        "w": [float(v) for v in instance.w_weights],
-        "costs": [[float(v) for v in row] for row in instance.costs],
+        "c": instance.c_weights.tolist(),
+        "w": instance.w_weights.tolist(),
+        "costs": instance.costs.tolist(),
         "seed": instance.seed,
         "generator_config": instance.generator_config,
     }
@@ -302,6 +302,9 @@ def instance_from_dict(doc: dict) -> Instance:
         raise ConfigError(
             f"instance document seed must be an integer or null, got {type(seed).__name__}"
         )
+    # Records write -1 for an instance without a seed, so no seed is negative.
+    if seed is not None and seed < 0:
+        raise ConfigError(f"instance document seed must be non-negative, got {seed}")
     gc = doc.get("generator_config")
     if gc is not None and not isinstance(gc, dict):
         raise ConfigError(
@@ -331,9 +334,11 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def save_instance(instance: Instance, path) -> None:
+    # json.dumps encodes in one call, through the C encoder; json.dump to a
+    # file streams through the pure-Python one.  Both write the same bytes.
+    text = json.dumps(instance_to_dict(instance), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=None, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_instance(path) -> Instance:

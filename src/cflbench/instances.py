@@ -348,16 +348,15 @@ def ingest_trace(
     must appear exactly once.  A header row is skipped if present.
     """
     cells: dict[tuple[str, str], float] = {}
-    # Insertion-ordered key sets: membership stays O(1) per row.
-    timestamps: dict[str, None] = {}
-    regions: dict[str, None] = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not field.strip() for field in row):
-                continue
             if len(row) != 3:
+                if not "".join(row).strip():  # blank: no fields, or only whitespace
+                    continue
                 raise DomainError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            ts, region, raw = (field.strip() for field in row)
+            ts, region, raw = row[0].strip(), row[1].strip(), row[2].strip()
+            if not (ts or region or raw):
+                continue
             try:
                 value = float(raw)
             except ValueError:
@@ -367,27 +366,34 @@ def ingest_trace(
             if (ts, region) in cells:
                 raise DomainError(f"line {lineno}: duplicate cell ({ts}, {region})")
             cells[(ts, region)] = value
-            timestamps[ts] = None
-            regions[region] = None
     if not cells:
         raise DomainError("trace contains no data rows")
 
-    def order(keys: dict[str, None]) -> list[str]:
+    def order(keys) -> list[str]:
+        # dict.fromkeys keeps first appearance, the order ties sort in.
+        keys = dict.fromkeys(keys)
         try:
             return sorted(keys, key=float)
         except ValueError:
             return sorted(keys)
 
-    timestamps = order(timestamps)
-    regions = order(regions)
+    timestamps = order(ts for ts, _ in cells)
+    regions = order(region for _, region in cells)
     T, d = len(timestamps), len(regions)
+    step = {ts: i for i, ts in enumerate(timestamps)}
+    dim = {region: j for j, region in enumerate(regions)}
+    rows = [step[ts] for ts, _ in cells]
+    cols = [dim[region] for _, region in cells]
     raw = np.empty((T, d))
-    for j, region in enumerate(regions):
-        for i, ts in enumerate(timestamps):
-            try:
-                raw[i, j] = cells[(ts, region)]
-            except KeyError:
-                raise DomainError(f"missing cell for ({ts}, {region})") from None
+    raw[rows, cols] = list(cells.values())
+    # Distinct keys land on distinct entries of raw, so fewer than T * d
+    # keys leave a gap; name the first one, scanning region by region.
+    if len(cells) < T * d:
+        filled = np.zeros((d, T), dtype=bool)
+        filled[cols, rows] = True
+        j, i = np.argwhere(~filled)[0]
+        raise DomainError(f"missing cell for ({timestamps[i]}, {regions[j]})")
+    for j in range(d):
         lo, hi = float(np.min(raw[:, j])), float(np.max(raw[:, j]))
         if hi - lo <= 0.0:
             raw[:, j] = L

@@ -40,6 +40,12 @@ __all__ = [
 # Dual search steps before solve_opt gives up; each is one dynamic program.
 # Generator instances settle in at most about ten.
 _MAX_DUAL_SOLVES = 100
+# The dual value meets the bracket lines within this share of the size of
+# the program's terms, |line| + lam max(c): the search stops there.
+_DUAL_MEET_TOL = 1e-12
+# The dual bound certifies the returned plan: its cost must equal the bound
+# within this share of max(1, |cost|).
+_DUAL_BOUND_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -92,18 +98,34 @@ def _lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _Plan]:
     [0, 1]^T, zero at both ends, whose optimum is a set of on-intervals.
     A two-state (off/on) dynamic program finds it.  It is run on the
     difference ``diff[t]`` of the best costs of ending step t on and off,
-    which obeys ``diff[t] = clip(diff[t-1], -w, w) + f_t - lam c`` (vectorized
-    over the coordinates); the off state's cost grows by
-    ``min(0, diff[t] + w)`` per step, the final move home included.  Ties go
-    to the off state.
+    which obeys ``diff[t] = clip(diff[t-1], -w, w) + f_t - lam c``; the off
+    state's cost grows by ``min(0, diff[t] + w)`` per step, the final move
+    home included.  Ties go to the off state.
+
+    The recurrence runs one coordinate at a time on Python floats, each
+    step two comparisons and one IEEE addition instead of three numpy
+    calls on a d-vector, so ``diff`` is bit for bit what
+    ``np.minimum(np.maximum(x, -w), w) + gain`` gives.  The comparisons
+    include ties because numpy returns its second operand on a tie, which
+    settles the sign of a zero.
     """
     gain = instance.costs - lam * instance.c_weights
     w = instance.w_weights
     T, d = gain.shape
+    # C order, as the sum below adds in memory order.
     diff = np.empty((T, d))
-    diff[0] = w + gain[0]
-    for t in range(1, T):
-        np.add(np.minimum(np.maximum(diff[t - 1], -w), w), gain[t], out=diff[t])
+    for i, (col, w_i) in enumerate(zip(gain.T.tolist(), w.tolist())):
+        low = -w_i
+        prev = w_i + col[0]
+        out = [prev]
+        for g in col[1:]:
+            if prev <= low:
+                prev = low
+            if prev >= w_i:
+                prev = w_i
+            prev += g
+            out.append(prev)
+        diff[:, i] = out
     value = lam + float(np.sum(np.minimum(diff + w, 0.0)))
     # Read the plan back: step t is on when diff[t] < -w (the on state is
     # best there whatever follows), off when diff[t] >= w, and otherwise
@@ -159,7 +181,7 @@ def solve_opt(instance: Instance) -> OfflineSolution:
         # f - lam c.  Where both lines are steep, rounding in lam alone can
         # keep g below them; the program returning a bracket plan shows the
         # meeting then.
-        met = bound >= line - 1e-12 * (abs(line) + lam * c_max)
+        met = bound >= line - _DUAL_MEET_TOL * (abs(line) + lam * c_max)
         if met or (plan.cost, plan.coverage) in ((lo.cost, lo.coverage), (hi.cost, hi.coverage)):
             break
         if plan.coverage < 1.0:
@@ -170,7 +192,7 @@ def solve_opt(instance: Instance) -> OfflineSolution:
     xs = theta * hi.on + (1.0 - theta) * lo.on
     traj = make_trajectory(instance, xs)
     cost = traj.total_cost
-    if abs(bound - cost) > 1e-7 * max(1.0, abs(cost)):
+    if abs(bound - cost) > _DUAL_BOUND_TOL * max(1.0, abs(cost)):
         raise NumericError(f"dual bound {bound} disagrees with trajectory cost {cost}")
     if traj.final_utilization < 1.0 - FEAS_TOL:
         raise NumericError("optimal trajectory failed the covering constraint")

@@ -4,10 +4,15 @@
 constrained step by bisecting the normalized multiplier to float resolution,
 a slow search that ``minimize_pseudo_cost_constrained``'s dual search is
 checked against; ``checked_decisions`` runs a player with every input check
-repeated on every step, the reference for the players' lean step path.  All
-are kept out of the package.
+repeated on every step, the reference for the players' lean step path.
+``vectorized_lagrangian_plan``, ``streaming_save_instance`` and
+``dict_ingest_trace`` are the earlier forms of the hindsight program, the
+instance writer and the trace reader, which the package's faster forms must
+match bit for bit.  All are kept out of the package.
 """
 
+import csv
+import json
 import math
 import warnings
 from typing import Optional
@@ -29,8 +34,10 @@ from cflbench.core import (
     DomainError,
     Instance,
     compulsory_start,
+    validate_instance,
     weighted_l1,
 )
+from cflbench.offline import _plan, _Plan
 from cflbench.subproblem import (
     SLACK_TOL,
     ConsistencyContext,
@@ -272,3 +279,101 @@ def checked_decisions(name: str, instance: Instance, advice: Optional[np.ndarray
     player = CHECKED_PLAYERS[name](instance.d, instance.T, instance.L, instance.U,
                                    instance.c_weights, instance.w_weights, **kwargs)
     return np.asarray([player.decide(f_t) for f_t in instance.costs])
+
+
+def vectorized_lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _Plan]:
+    """``offline._lagrangian_plan`` with its recurrence stepped over time,
+    each step one numpy call on the d-vector of coordinates."""
+    gain = instance.costs - lam * instance.c_weights
+    w = instance.w_weights
+    T, d = gain.shape
+    diff = np.empty((T, d))
+    diff[0] = w + gain[0]
+    for t in range(1, T):
+        np.add(np.minimum(np.maximum(diff[t - 1], -w), w), gain[t], out=diff[t])
+    value = lam + float(np.sum(np.minimum(diff + w, 0.0)))
+    on_here = diff < -w
+    settled = on_here | (diff >= w)
+    settled[-1] = True
+    steps = np.where(settled, np.arange(T)[:, None], T)
+    source = np.minimum.accumulate(steps[::-1], axis=0)[::-1]
+    return value, _plan(instance, on_here[source, np.arange(d)])
+
+
+def streaming_save_instance(instance: Instance, path) -> None:
+    """``core.save_instance`` through ``json.dump``, which streams the
+    document through the pure-Python encoder, with the lists built one
+    ``float`` at a time."""
+    doc = {
+        "d": instance.d,
+        "T": instance.T,
+        "L": instance.L,
+        "U": instance.U,
+        "c": [float(v) for v in instance.c_weights],
+        "w": [float(v) for v in instance.w_weights],
+        "costs": [[float(v) for v in row] for row in instance.costs],
+        "seed": instance.seed,
+        "generator_config": instance.generator_config,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=None, separators=(",", ":"))
+        fh.write("\n")
+
+
+def dict_ingest_trace(path: str, L: float = 1.0, U: float = 250.0,
+                      w_weights: Optional[np.ndarray] = None) -> Instance:
+    """``instances.ingest_trace`` filling the prices one cell at a time,
+    region by region, from the dict of cells."""
+    cells: dict[tuple[str, str], float] = {}
+    timestamps: dict[str, None] = {}
+    regions: dict[str, None] = {}
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not field.strip() for field in row):
+                continue
+            if len(row) != 3:
+                raise DomainError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            ts, region, raw = (field.strip() for field in row)
+            try:
+                value = float(raw)
+            except ValueError:
+                if lineno == 1:
+                    continue
+                raise DomainError(f"line {lineno}: bad intensity {raw!r}") from None
+            if (ts, region) in cells:
+                raise DomainError(f"line {lineno}: duplicate cell ({ts}, {region})")
+            cells[(ts, region)] = value
+            timestamps[ts] = None
+            regions[region] = None
+    if not cells:
+        raise DomainError("trace contains no data rows")
+
+    def order(keys: dict[str, None]) -> list[str]:
+        try:
+            return sorted(keys, key=float)
+        except ValueError:
+            return sorted(keys)
+
+    timestamps = order(timestamps)
+    regions = order(regions)
+    T, d = len(timestamps), len(regions)
+    raw = np.empty((T, d))
+    for j, region in enumerate(regions):
+        for i, ts in enumerate(timestamps):
+            try:
+                raw[i, j] = cells[(ts, region)]
+            except KeyError:
+                raise DomainError(f"missing cell for ({ts}, {region})") from None
+        lo, hi = float(np.min(raw[:, j])), float(np.max(raw[:, j]))
+        if hi - lo <= 0.0:
+            raw[:, j] = L
+        else:
+            raw[:, j] = L + (raw[:, j] - lo) / (hi - lo) * (U - L)
+    w = np.zeros(d) if w_weights is None else np.asarray(w_weights, dtype=float)
+    inst = Instance(
+        d=d, T=T, L=L, U=U, c_weights=np.ones(d), w_weights=w, costs=raw,
+    )
+    issues = validate_instance(inst)
+    if issues:
+        raise DomainError("trace instance is invalid: " + "; ".join(issues))
+    return inst

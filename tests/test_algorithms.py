@@ -13,6 +13,7 @@ from oracles import checked_decisions
 from cflbench.algorithms import (
     _PLAYERS,
     BaselineConfig,
+    _PlayerBase,
     _controller_decision,
     make_player,
     run_agnostic,
@@ -390,3 +391,44 @@ def test_players_check_their_inputs_where_they_enter(name):
     player.decide(np.full(2, 5.0))
     with pytest.raises(DomainError):
         player.decide(np.full(2, 5.0))
+
+
+def _counting_decide(monkeypatch, cls):
+    """Count the calls to ``cls.decide``."""
+    calls = []
+    decide = cls.decide
+
+    def counted(self, f_t):
+        calls.append(self.t)
+        return decide(self, f_t)
+
+    monkeypatch.setattr(cls, "decide", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 2), (6,)])
+def test_drive_checks_the_price_shape_before_any_step(monkeypatch, shape):
+    # A price array that is not (T, d) is rejected where the run starts,
+    # before the player decides anything.
+    inst = make_instance(d=2, T=3, costs=np.full(shape, 5.0))
+    calls = _counting_decide(monkeypatch, _PlayerBase)
+    advice = np.full((3, 2), 0.5)
+    for run in (run_alg1, run_agnostic, run_move_to_minimizer, run_simple_threshold,
+                lambda i: run_clip(i, advice, 2.0), make_inactive_advice):
+        with pytest.raises(DimensionMismatch, match="costs shape"):
+            run(inst)
+    assert calls == []
+
+
+def test_drive_stops_once_the_demand_is_covered(monkeypatch):
+    # agnostic covers the whole demand at step 1 of a year at two-hour
+    # steps; the loop then calls decide no more, and the rows it leaves
+    # are the zeros decide would have returned.
+    rng = np.random.default_rng(4380)
+    inst = make_instance(d=10, T=4380, U=250.0, w=np.full(10, 20.0),
+                         costs=rng.uniform(1.0, 250.0, (4380, 10)))
+    calls = _counting_decide(monkeypatch, _PlayerBase)
+    xs = run_agnostic(inst).decisions
+    assert calls == [1]
+    assert xs.tobytes() == checked_decisions("agnostic", inst).tobytes()
+    assert constraint_value(xs[0], inst.c_weights) == 1.0 and not xs[1:].any()

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import valid_instances
 
+from oracles import streaming_save_instance
+
 from cflbench.core import (
     CflError,
     DimensionMismatch,
@@ -247,3 +249,25 @@ def test_unchecked_sum_is_np_sum_to_the_bit(pair):
     expected = float(np.sum(w * np.abs(x)))
     assert np.float64(_weighted_sum(x, w)).tobytes() == np.float64(expected).tobytes()
     assert constraint_value(x, w) == expected
+
+
+_GENERATOR_CONFIGS = st.none() | st.fixed_dictionaries({
+    "index": st.integers(0, 2**64),
+    "sigma": st.just(float("nan")) | st.floats(allow_nan=True, allow_infinity=True),
+    "beta_nominal": st.floats(allow_nan=False, allow_infinity=False),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(valid_instances(), st.none() | st.integers(0, 2**64 - 1), _GENERATOR_CONFIGS)
+def test_save_instance_writes_the_streaming_writers_bytes(inst, seed, config):
+    # One json.dumps call writes the bytes json.dump streams, whatever the
+    # bookkeeping fields hold: no seed, no generator config, a NaN sigma.
+    inst = dataclasses.replace(inst, seed=seed, generator_config=config)
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = os.path.join(tmp, "ours.json"), os.path.join(tmp, "ref.json")
+        save_instance(inst, ours)
+        streaming_save_instance(inst, ref)
+        with open(ours, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
+

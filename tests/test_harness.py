@@ -331,8 +331,9 @@ def _with_generator_config(doc, **fields):
     lambda doc: _with_generator_config(doc, sigma=None),
     lambda doc: dict(doc, seed="x"),
     lambda doc: dict(doc, seed=1.5),
+    lambda doc: dict(doc, seed=-1),
 ], ids=["d-inf", "T-inf", "config-str", "config-int", "index-str", "sigma-null",
-        "seed-str", "seed-float"])
+        "seed-str", "seed-float", "seed-negative"])
 def test_cli_run_rejects_malformed_bookkeeping_fields(change, tmp_path, capsys):
     # One field of a valid document changed: a configuration error on one
     # stderr line, not a traceback, and no records written that report
@@ -421,13 +422,15 @@ _OUT_OF_RANGE = {"d": lambda v: v + 1, "T": lambda v: v + 1, "L": lambda v: 2.0 
                  "seed": lambda v: 2**64, "index": lambda v: 2**64,
                  "sigma": lambda v: 1e308, "beta_nominal": lambda v: 1e308}
 # Every change to a physical field makes the document invalid.  Of the
-# bookkeeping fields, the format rejects only a wrong type (a seed or index
-# that is not an integer, a generator_config that is not an object, a sigma
-# or beta_nominal that is not a number); the other changes (a negative seed,
-# no generator_config, ...) leave a valid document that must run.
+# bookkeeping fields, the format rejects a wrong type (a seed or index that
+# is not an integer, a generator_config that is not an object, a sigma or
+# beta_nominal that is not a number) and a negative seed, which records
+# reserve for "no seed"; the other changes (no generator_config, ...) leave
+# a valid document that must run.
 _REJECTED = dict.fromkeys(("d", "T", "L", "U", "c", "w", "costs"), set(_CHANGES))
 _REJECTED.update(dict.fromkeys(("seed", "generator_config", "index"),
                                {"type", "shape", "nan", "inf"}))
+_REJECTED["seed"] = _REJECTED["seed"] | {"negative"}
 _REJECTED.update(dict.fromkeys(("sigma", "beta_nominal"), {"type", "shape"}))
 
 

@@ -3,6 +3,10 @@ star-metric reduction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import dict_ingest_trace
 
 from cflbench.core import DomainError, Instance, instance_from_dict, instance_to_dict, make_trajectory
 from cflbench.instances import (
@@ -243,3 +247,98 @@ def test_ingest_trace_errors(tmp_path):
         ingest_trace(_write(tmp_path, "1,a\n", name="short.csv"))
     with pytest.raises(DomainError, match="no data rows"):
         ingest_trace(_write(tmp_path, "timestamp,region,intensity\n", name="hdr.csv"))
+
+
+def _outcome(read, path, **kwargs):
+    """What a trace reader makes of a file: the instance's arrays, or the
+    error it raises."""
+    try:
+        inst = read(path, **kwargs)
+    except DomainError as exc:
+        return "error", str(exc)
+    return "instance", (inst.d, inst.T, inst.costs.tobytes(), inst.c_weights.tobytes(),
+                        inst.w_weights.tobytes())
+
+
+_BLANK_LINES = ["", "   ", ",,", " , , ", ",", "\t"]
+_DEFECTS = ["none", "duplicate", "missing", "bad_value", "fields", "nan", "header_only",
+            "w_length"]
+
+
+@st.composite
+def _trace_files(draw):
+    """A trace CSV's text and the ``w_weights`` to read it with.  Rows come
+    shuffled, with an optional header, blank or whitespace lines, padded
+    fields, numeric timestamps (some equal as numbers, like "3" and "3.0")
+    or non-numeric ones, and at most one defect."""
+    T, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        stamps = [str(v) for v in draw(st.lists(st.integers(0, 50), min_size=T, max_size=T,
+                                                unique=True))]
+        if T > 1 and draw(st.booleans()):
+            stamps[-1] = stamps[0] + ".0"
+    else:
+        stamps = [f"2024-01-{v:02d}T{h}" for v, h in
+                  draw(st.lists(st.tuples(st.integers(1, 28), st.sampled_from("ab")),
+                                min_size=T, max_size=T, unique=True))]
+    regions = draw(st.lists(st.sampled_from(["east", "west", "r1", "r10", "r2", "9", "10"]),
+                            min_size=d, max_size=d, unique=True))
+    values = st.sampled_from(["5", "5.0", "0"]) | st.floats(0.0, 1e4).map(repr)
+    flat = draw(st.booleans())
+    rows = [[ts, region, "7.5" if flat else draw(values)] for region in regions for ts in stamps]
+    rows = draw(st.permutations(rows))
+    defect = draw(st.sampled_from(_DEFECTS))
+    k = draw(st.integers(0, len(rows) - 1))
+    if defect == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), [rows[k][0], rows[k][1], "1"])
+    elif defect == "missing" and len(rows) > 1:
+        del rows[k]
+    elif defect == "bad_value":
+        rows[k][2] = draw(st.sampled_from(["oops", "", "1,5"]))
+    elif defect == "fields":
+        rows[k] = rows[k][:2] if draw(st.booleans()) else rows[k] + ["x"]
+    elif defect == "nan":
+        rows[k][2] = draw(st.sampled_from(["nan", "inf"]))
+    elif defect == "header_only":
+        rows = []
+    lines = [",".join(f" {field} " if draw(st.booleans()) else field for field in row)
+             for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
+    if draw(st.booleans()) or defect == "header_only":
+        lines.insert(0, "timestamp,region,intensity")
+    w = np.full(d + 1 if defect == "w_length" else d, 2.0)
+    return "\n".join(lines) + "\n", w
+
+
+# An infinite intensity makes the affine map divide inf by inf on its way
+# to the "must be finite" error.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_trace_files())
+def test_ingest_trace_matches_the_cell_by_cell_oracle(tmp_path_factory, case):
+    # The scatter through sorted indices builds the oracle's prices to the
+    # bit, and a defective file fails with the oracle's error message.
+    text, w = case
+    path = str(tmp_path_factory.mktemp("trace") / "trace.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    for kwargs in ({}, {"L": 2.0, "U": 20.0, "w_weights": w}):
+        assert _outcome(ingest_trace, path, **kwargs) == _outcome(dict_ingest_trace, path, **kwargs)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,a,5\n1,a,oops\n", "line 2: bad intensity 'oops'"),
+    ("1,a,5\n\n1,a,6\n", "line 3: duplicate cell (1, a)"),
+    ("1,a,5\n2,a,6\n1,b,7\n", "missing cell for (2, b)"),
+    ("1,b,5\n2,a,6\n1,a,7\n", "missing cell for (2, b)"),
+    ("1,a\n", "line 1: expected 3 fields, got 2"),
+    ("1,a,5\n1,b,5,x\n", "line 2: expected 3 fields, got 4"),
+    ("timestamp,region,intensity\n\n", "trace contains no data rows"),
+    ("1,a,5\n2,a,nan\n", "trace instance is invalid: L, U, c, w and costs must be finite"),
+])
+def test_ingest_trace_error_messages(tmp_path, text, message):
+    # Every message the reader raises, word for word, and the oracle's.
+    path = _write(tmp_path, text)
+    assert _outcome(ingest_trace, path) == ("error", message)
+    assert _outcome(dict_ingest_trace, path) == ("error", message)

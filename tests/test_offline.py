@@ -6,9 +6,12 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 from strategies import valid_instances
+
+from oracles import vectorized_lagrangian_plan
 
 from cflbench.core import (
     FEAS_TOL,
@@ -19,6 +22,7 @@ from cflbench.core import (
     trajectory_cost,
     trajectory_violations,
 )
+import cflbench.offline as offline
 from cflbench.instances import GeneratorConfig, MalInstance, generate_synthetic, mal_to_cfl
 from cflbench.offline import AdviceConfig, make_advice, solve_opt, solve_worst
 
@@ -378,3 +382,50 @@ def test_worst_rejects_unreachable_cover():
     inst = make_instance(d=2, T=2, c=[0.2, 0.2], costs=np.full((2, 2), 0.4), U=5.0)
     with pytest.raises(NumericError):
         solve_worst(inst)
+
+
+@st.composite
+def _dual_programs(draw):
+    """An instance and a multiplier for one run of the hindsight program:
+    d = 1 to 4, T = 1 up to 500, zero or positive switching weights, prices
+    on an integer grid (ties between coordinates and steps) or anywhere,
+    and multipliers at 0, at a price (terms exactly zero), anywhere, or
+    where the dual search makes its first solve."""
+    d = draw(st.integers(1, 4))
+    T = draw(st.sampled_from([1, 2]) | st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L, U = 1.0, draw(st.sampled_from([1.0, 10.0, 250.0]))
+    c = np.ones(d) if draw(st.booleans()) else rng.uniform(0.1, 1.0, d)
+    rates = (rng.integers(1, 11, (T, d)) * (U - L) / 10.0 + L if draw(st.booleans())
+             else rng.uniform(L, U, (T, d)))
+    w_kind = draw(st.sampled_from(["zero", "integer", "uniform"]))
+    w = {"zero": np.zeros(d), "integer": rng.integers(0, 3, d).astype(float),
+         "uniform": rng.uniform(0.0, 0.49 * (U - L) + 1e-3, d)}[w_kind] * c
+    inst = Instance(d=d, T=T, L=L, U=U, c_weights=c, w_weights=w, costs=rates * c)
+    lam_kind = draw(st.sampled_from(["zero", "price", "uniform", "first"]))
+    if lam_kind == "zero":
+        lam = 0.0
+    elif lam_kind == "price":
+        lam = float(rates[rng.integers(T), rng.integers(d)])
+    elif lam_kind == "uniform":
+        lam = float(rng.uniform(0.0, 2.0 * U))
+    else:
+        lo = offline._plan(inst, np.zeros((T, d), dtype=bool))
+        hi = offline._plan(inst, np.ones((T, d), dtype=bool))
+        lam = (hi.cost - lo.cost) / (hi.coverage - lo.coverage)
+    return inst, lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_dual_programs())
+def test_lagrangian_plan_matches_vectorized_oracle(case):
+    # The scalar recurrence performs numpy's operations one coordinate at a
+    # time: the dual value and the plan are the vectorized program's to
+    # the bit.
+    inst, lam = case
+    value, plan = offline._lagrangian_plan(inst, lam)
+    ref_value, ref_plan = vectorized_lagrangian_plan(inst, lam)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert plan.on.shape == ref_plan.on.shape and np.array_equal(plan.on, ref_plan.on)
+    assert (plan.cost, plan.coverage) == (ref_plan.cost, ref_plan.coverage)
+
