@@ -60,6 +60,10 @@ __all__ = [
     "make_player",
 ]
 
+# run_clip: alpha above 1 by more than this has room for an augmented rate;
+# at or below it the prices are flat and the threshold is constant.
+_FLAT_ALPHA_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -399,21 +403,30 @@ def run_clip(instance: Instance, advice: np.ndarray, epsilon: float) -> Trajecto
     params = make_threshold_params(L, U, beta)
     # With flat prices (alpha = 1) the threshold is constant and the
     # augmented rate has no room to move.
-    if params.alpha > 1.0 + 1e-12:
+    if params.alpha > 1.0 + _FLAT_ALPHA_SLACK:
         params = make_threshold_params(L, U, beta, epsilon=min(epsilon, params.alpha - 1.0))
     return _drive(_ClipPlayer, instance, advice=advice, epsilon=epsilon, params=params)
 
 
-def run_baseline(instance: Instance, advice: np.ndarray, epsilon: float) -> Trajectory:
+def run_baseline(instance: Instance, advice: np.ndarray, epsilon: float, *,
+                 robust: Optional[Trajectory] = None) -> Trajectory:
     """Convex combination of the advice and the threshold player's run.
 
     The advice weight decreases linearly in epsilon and hits zero at the
     robust optimum alpha - 1 (values beyond that degenerate to the pure
-    threshold run).
+    threshold run).  The threshold run does not depend on the advice, so a
+    caller scoring several advice points on one instance runs ``alg1`` once
+    and passes its trajectory as ``robust``; without it, ``run_alg1`` runs
+    here.
     """
     advice = _check_advice(instance, advice)
+    if robust is None:
+        robust = run_alg1(instance)
+    elif robust.decisions.shape != (instance.T, instance.d):
+        raise DimensionMismatch(
+            f"robust decisions shape {robust.decisions.shape} != {(instance.T, instance.d)}"
+        )
     alpha = make_threshold_params(instance.L, instance.U, instance.beta).alpha
     cfg = BaselineConfig.from_epsilon(alpha, epsilon)
-    robust = run_alg1(instance)
     xs = cfg.lam * advice + (1.0 - cfg.lam) * robust.decisions
     return make_trajectory(instance, xs)

@@ -147,7 +147,9 @@ def trajectory_cost(instance: Instance, decisions) -> CostBreakdown:
     """Total hitting and switching cost of a full decision sequence.
 
     Switching includes the boundary terms: the move from the origin into
-    ``x_1`` and the final move from ``x_T`` back to the origin.
+    ``x_1`` and the final move from ``x_T`` back to the origin.  The ``T + 1``
+    moves are built in one array, in place: ``x_1``, the differences, then
+    ``x_T`` (the size of ``0 - x_T``).
     """
     xs = np.asarray(decisions, dtype=float)
     if xs.shape != (instance.T, instance.d):
@@ -156,8 +158,11 @@ def trajectory_cost(instance: Instance, decisions) -> CostBreakdown:
             f"({instance.T}, {instance.d})"
         )
     hitting = float(np.sum(instance.costs * xs))
-    padded = np.vstack([np.zeros(instance.d), xs, np.zeros(instance.d)])
-    moves = np.abs(np.diff(padded, axis=0))
+    moves = np.empty((instance.T + 1, instance.d))
+    moves[0] = xs[0]
+    np.subtract(xs[1:], xs[:-1], out=moves[1:-1])
+    moves[-1] = xs[-1]
+    np.abs(moves, out=moves)
     switching = float(np.sum(moves @ instance.w_weights))
     return CostBreakdown(hitting=hitting, switching=switching)
 

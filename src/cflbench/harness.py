@@ -201,7 +201,11 @@ def _records_for_instance(
     xi_values: Sequence[float],
     epsilon_values: Sequence[float],
 ) -> list[ExperimentRecord]:
-    """Run the roster on one instance, sharing the offline solutions."""
+    """Run the roster on one instance, sharing the work that does not
+    depend on the advice: the offline solutions, and the one ``alg1`` run
+    that every ``baseline`` record mixes with its advice.  That run is the
+    ``alg1`` record's own when ``alg1`` is in the roster; otherwise it runs
+    once here, for all the (xi, eps) points."""
     beta_nom, sigma = _instance_meta(instance)
     opt = solve_opt(instance)
     if opt.objective <= 0.0:
@@ -228,12 +232,18 @@ def _records_for_instance(
         )
 
     out = []
+    robust = None
     for name in algorithms:
         if name in _RUNNERS:
-            out.append(record(name, None, None, _RUNNERS[name](instance).total_cost))
+            trajectory = _RUNNERS[name](instance)
+            if name == "alg1":
+                robust = trajectory
+            out.append(record(name, None, None, trajectory.total_cost))
 
     advised = [name for name in algorithms if name in ADVISED_ROSTER]
     if advised and xi_values and epsilon_values:
+        if "baseline" in advised and robust is None:
+            robust = _RUNNERS["alg1"](instance)
         worst = solve_worst(instance) if any(x > 0.0 for x in xi_values) else None
         for xi in xi_values:
             advice = make_advice(instance, AdviceConfig(xi=float(xi)), opt=opt, worst=worst)
@@ -242,7 +252,7 @@ def _records_for_instance(
                     cost = run_clip(instance, advice, float(eps)).total_cost
                     out.append(record("clip", float(xi), float(eps), cost))
                 if "baseline" in advised:
-                    cost = run_baseline(instance, advice, float(eps)).total_cost
+                    cost = run_baseline(instance, advice, float(eps), robust=robust).total_cost
                     out.append(record("baseline", float(xi), float(eps), cost))
     return out
 

@@ -4,6 +4,7 @@ helpers, the star-metric allocation reduction, and trace ingestion."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -363,6 +364,8 @@ def ingest_trace(
                 if lineno == 1:
                     continue
                 raise DomainError(f"line {lineno}: bad intensity {raw!r}") from None
+            if not math.isfinite(value):
+                raise DomainError(f"line {lineno}: intensity {raw!r} is not finite")
             if (ts, region) in cells:
                 raise DomainError(f"line {lineno}: duplicate cell ({ts}, {region})")
             cells[(ts, region)] = value

@@ -3,8 +3,11 @@
 The online algorithms in this package price utilization through a decreasing
 threshold function ``phi`` on [0, 1].  Its decay rate ``alpha`` is the optimal
 competitive ratio for the problem class and is obtained in closed form from
-the principal branch of the Lambert W function, with an independent bisection
-root-finder used as a construction-time cross-check.
+the principal branch of the Lambert W function.  The closed form is certified
+by the sign of alpha's defining fixed point ``h`` (strictly decreasing) just
+below and just above it, so the root lies within the certificate's tolerance;
+``compute_alpha_bisection`` solves the same fixed point by bisection, as an
+independent reference route.
 
 The advice-aware variant ``phi_eps`` decays at rate ``gamma_eps``, the target
 robustness factor for a given consistency slack ``epsilon``; ``gamma_eps`` has
@@ -27,6 +30,17 @@ _BISECT_MAX_ITER = 200
 # Slack allowed when checking that the public threshold functions' arguments
 # lie in the unit interval and are in order.
 _UNIT_SLACK = 1e-12
+# lambert_w0: how far below -1/e an argument may lie and still mean -1/e,
+# and the residual |w e^w - x| its result must meet, relative to max(1, |x|).
+_LAMBERT_DOMAIN_SLACK = 1e-12
+_LAMBERT_RESIDUAL_TOL = 1e-13
+# compute_alpha: half-width of the bracket around the closed form, relative
+# to max(1, alpha), inside which the fixed point must change sign.
+_ALPHA_CERT_TOL = 1e-9
+# compute_gamma: how far above alpha - 1 an epsilon may lie and still mean
+# alpha - 1, and the offset of the lower bracket above F's pole U/(U - 2 beta).
+_GAMMA_EPS_SLACK = 1e-12
+_GAMMA_POLE_OFFSET = 1e-12
 
 
 def lambert_w0(x: float) -> float:
@@ -38,12 +52,13 @@ def lambert_w0(x: float) -> float:
     Parameters
     ----------
     x : float
-        Argument, must satisfy ``x >= -1/e`` up to a 1e-12 slack.
+        Argument, must satisfy ``x >= -1/e`` up to ``_LAMBERT_DOMAIN_SLACK``.
 
     Returns
     -------
     float
-        ``W_0(x)``, with residual ``|w exp(w) - x| <= 1e-13 * max(1, |x|)``.
+        ``W_0(x)``, with residual ``|w exp(w) - x| <= _LAMBERT_RESIDUAL_TOL
+        * max(1, |x|)``.
 
     Raises
     ------
@@ -53,7 +68,7 @@ def lambert_w0(x: float) -> float:
     """
     x = float(x)
     branch = -1.0 / math.e
-    if x < branch - 1e-12:
+    if x < branch - _LAMBERT_DOMAIN_SLACK:
         raise DomainError(f"lambert_w0 argument {x} below -1/e")
     if x <= branch:
         return -1.0
@@ -72,7 +87,7 @@ def lambert_w0(x: float) -> float:
         llx = math.log(lx) if lx > 0 else 0.0
         w = lx - llx
 
-    tol = 1e-13 * max(1.0, abs(x))
+    tol = _LAMBERT_RESIDUAL_TOL * max(1.0, abs(x))
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
@@ -95,13 +110,22 @@ def _validate_lub(L: float, U: float, beta: float) -> None:
         raise DomainError(f"beta = {beta} must be < (U - L)/2 = {(U - L) / 2.0}")
 
 
+def _alpha_fixed_point(L: float, U: float, beta: float, a: float) -> float:
+    """``h(a) = (U - L - 2 beta) - (U - U/a - 2 beta) exp(1/a)``, whose root
+    is alpha.  Strictly decreasing in ``a > 0``: ``h(1) > 0 >= h(U/L)``."""
+    return (U - L - 2.0 * beta) - (U - U / a - 2.0 * beta) * math.exp(1.0 / a)
+
+
 def compute_alpha(L: float, U: float, beta: float) -> float:
     """Optimal competitive ratio for price bounds [L, U] and switching level beta.
 
-    Closed form via the Lambert W principal branch; the result is verified at
-    construction against an independent bisection solve of the defining fixed
-    point ``(U - L - 2 beta) / (U - U/alpha - 2 beta) = exp(1/alpha)``.
-    Lies in ``[1, U/L]``; equals 1 exactly when L == U (and beta == 0).
+    Closed form via the Lambert W principal branch, certified by the sign of
+    the defining fixed point ``h`` (:func:`_alpha_fixed_point`) on either
+    side of it: ``h(alpha - tol) > 0 >= h(alpha + tol)`` with ``tol =
+    _ALPHA_CERT_TOL * max(1, alpha)``.  Since ``h`` is strictly decreasing,
+    its root then lies within ``tol`` of the closed form; otherwise
+    ``NumericError``.  Lies in ``[1, U/L]``; equals 1 exactly when L == U
+    (and beta == 0).
     """
     _validate_lub(L, U, beta)
     if L == U:
@@ -110,10 +134,13 @@ def compute_alpha(L: float, U: float, beta: float) -> float:
     ell = L / U
     w = lambert_w0((u + ell - 1.0) * math.exp(u - 1.0))
     alpha = 1.0 / (w + 1.0 - u)
-    check = compute_alpha_bisection(L, U, beta)
-    if abs(alpha - check) > 1e-9 * max(1.0, abs(alpha)):
+    tol = _ALPHA_CERT_TOL * max(1.0, alpha)
+    below = _alpha_fixed_point(L, U, beta, alpha - tol)
+    above = _alpha_fixed_point(L, U, beta, alpha + tol)
+    if not below > 0.0 >= above:
         raise NumericError(
-            f"alpha routes disagree: closed form {alpha} vs bisection {check}"
+            f"closed-form alpha {alpha} is not certified: the fixed point reads "
+            f"{below} at {alpha - tol} and {above} at {alpha + tol}"
         )
     return alpha
 
@@ -121,18 +148,15 @@ def compute_alpha(L: float, U: float, beta: float) -> float:
 def compute_alpha_bisection(L: float, U: float, beta: float) -> float:
     """Reference route for alpha: bisection on its defining fixed point.
 
-    Kept separate from :func:`compute_alpha` so the two derivations stay
-    independent; do not fold one into the other.
+    Independent of the Lambert W closed form in :func:`compute_alpha`; the
+    two share only the fixed point ``h`` itself.  Do not fold one route into
+    the other.
     """
     _validate_lub(L, U, beta)
     if L == U:
         return 1.0
-
-    def h(a: float) -> float:
-        return (U - L - 2.0 * beta) - (U - U / a - 2.0 * beta) * math.exp(1.0 / a)
-
     # h(1) = (U - L - 2 beta) + 2 beta e > 0 and h(U/L) < 0.
-    lo, hi = _bisect(h, 1.0, U / L)
+    lo, hi = _bisect(lambda a: _alpha_fixed_point(L, U, beta, a), 1.0, U / L)
     return 0.5 * (lo + hi)
 
 
@@ -167,7 +191,7 @@ def compute_gamma(L: float, U: float, beta: float, epsilon: float) -> float:
 def _gamma(L: float, U: float, beta: float, epsilon: float, alpha: float) -> float:
     """``compute_gamma`` for valid (L, U, beta) whose certified alpha is
     given."""
-    if epsilon < 0 or epsilon > alpha - 1.0 + 1e-12:
+    if epsilon < 0 or epsilon > alpha - 1.0 + _GAMMA_EPS_SLACK:
         raise DomainError(
             f"epsilon = {epsilon} outside [0, alpha - 1] = [0, {alpha - 1.0}]"
         )
@@ -180,7 +204,7 @@ def _gamma(L: float, U: float, beta: float, epsilon: float, alpha: float) -> flo
         arg = (U - L - 2.0 * beta) / (U - U / g - 2.0 * beta)
         return g - epsilon - U / L + (g / L) * (U - L) * math.log(arg)
 
-    lo_start = U / (U - 2.0 * beta) + 1e-12
+    lo_start = U / (U - 2.0 * beta) + _GAMMA_POLE_OFFSET
     # F -> +inf at the lower bracket edge and F(U/L) = -epsilon < 0.
     lo, hi = _bisect(F, lo_start, U / L)
     # Certified when F changes sign across a bracket no wider than the

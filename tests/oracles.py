@@ -5,10 +5,13 @@ constrained step by bisecting the normalized multiplier to float resolution,
 a slow search that ``minimize_pseudo_cost_constrained``'s dual search is
 checked against; ``checked_decisions`` runs a player with every input check
 repeated on every step, the reference for the players' lean step path.
-``vectorized_lagrangian_plan``, ``streaming_save_instance`` and
-``dict_ingest_trace`` are the earlier forms of the hindsight program, the
-instance writer and the trace reader, which the package's faster forms must
-match bit for bit.  All are kept out of the package.
+``vectorized_lagrangian_plan``, ``streaming_save_instance``,
+``dict_ingest_trace`` and ``padded_trajectory_cost`` are the earlier forms
+of the hindsight program, the instance writer, the trace reader and the
+switching cost, which the package's faster forms must match bit for bit;
+``bisection_checked_alpha`` is the earlier ``compute_alpha``, which checked
+the closed form against a full bisection run, and whose verdicts the sign
+certificate must reproduce.  All are kept out of the package.
 """
 
 import csv
@@ -31,8 +34,10 @@ from cflbench.algorithms import (
 )
 from cflbench.core import (
     FEAS_TOL,
+    CostBreakdown,
     DomainError,
     Instance,
+    NumericError,
     compulsory_start,
     validate_instance,
     weighted_l1,
@@ -44,7 +49,13 @@ from cflbench.subproblem import (
     StepContext,
     consistency_slack,
 )
-from cflbench.thresholds import make_threshold_params, phi_eps_integral, phi_integral
+from cflbench.thresholds import (
+    compute_alpha_bisection,
+    lambert_w0,
+    make_threshold_params,
+    phi_eps_integral,
+    phi_integral,
+)
 
 
 def grid_oracle(
@@ -340,6 +351,8 @@ def dict_ingest_trace(path: str, L: float = 1.0, U: float = 250.0,
                 if lineno == 1:
                     continue
                 raise DomainError(f"line {lineno}: bad intensity {raw!r}") from None
+            if not math.isfinite(value):
+                raise DomainError(f"line {lineno}: intensity {raw!r} is not finite")
             if (ts, region) in cells:
                 raise DomainError(f"line {lineno}: duplicate cell ({ts}, {region})")
             cells[(ts, region)] = value
@@ -377,3 +390,31 @@ def dict_ingest_trace(path: str, L: float = 1.0, U: float = 250.0,
     if issues:
         raise DomainError("trace instance is invalid: " + "; ".join(issues))
     return inst
+
+
+def padded_trajectory_cost(instance: Instance, decisions) -> CostBreakdown:
+    """``core.trajectory_cost`` padding the decisions with the origin on
+    both ends (``vstack``) and taking the moves with ``np.diff``."""
+    xs = np.asarray(decisions, dtype=float)
+    hitting = float(np.sum(instance.costs * xs))
+    padded = np.vstack([np.zeros(instance.d), xs, np.zeros(instance.d)])
+    moves = np.abs(np.diff(padded, axis=0))
+    switching = float(np.sum(moves @ instance.w_weights))
+    return CostBreakdown(hitting=hitting, switching=switching)
+
+
+def bisection_checked_alpha(L: float, U: float, beta: float) -> float:
+    """``thresholds.compute_alpha`` accepting the Lambert W closed form only
+    within 1e-9 (relative to max(1, alpha)) of ``compute_alpha_bisection``."""
+    check = compute_alpha_bisection(L, U, beta)  # validates (L, U, beta)
+    if L == U:
+        return 1.0
+    u = 2.0 * beta / U
+    ell = L / U
+    w = lambert_w0((u + ell - 1.0) * math.exp(u - 1.0))
+    alpha = 1.0 / (w + 1.0 - u)
+    if abs(alpha - check) > 1e-9 * max(1.0, abs(alpha)):
+        raise NumericError(
+            f"alpha routes disagree: closed form {alpha} vs bisection {check}"
+        )
+    return alpha

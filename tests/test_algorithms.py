@@ -348,6 +348,38 @@ def test_baseline_is_convex_combination():
         assert not trajectory_violations(inst, base.decisions)
 
 
+def _generator_instances():
+    """Generator draws: the default cell, and d = 1 or 2 at beta 0."""
+    configs = st.sampled_from([GeneratorConfig(), GeneratorConfig(d=1, beta_nominal=0.0),
+                               GeneratorConfig(d=2, beta_nominal=0.0, U_over_L=20.0)])
+    return st.builds(generate_synthetic, st.integers(0, 2**32), st.integers(0, 10**6), configs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(valid_instances(), _generator_instances()),
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.5, 2.0, 5.0, 10.0, 200.0]))
+def test_baseline_with_a_shared_robust_run_is_its_own_run(inst, xi, eps):
+    # Passing alg1's trajectory as ``robust`` builds the same trajectory,
+    # to the bit, as running alg1 inside run_baseline.
+    advice = make_advice(inst, AdviceConfig(xi=xi))
+    own = run_baseline(inst, advice, eps)
+    shared = run_baseline(inst, advice, eps, robust=run_alg1(inst))
+    assert shared.decisions.tobytes() == own.decisions.tobytes()
+    assert shared.utilization_profile.tobytes() == own.utilization_profile.tobytes()
+    assert (repr(shared.hitting_cost), repr(shared.switching_cost)) == (
+        repr(own.hitting_cost), repr(own.switching_cost))
+
+
+def test_baseline_rejects_a_misshaped_robust_run():
+    inst = make_instance(d=2, T=3)
+    advice = np.full((3, 2), 0.5)
+    for other in (make_instance(d=2, T=4), make_instance(d=3, T=3)):
+        with pytest.raises(DimensionMismatch, match="robust"):
+            run_baseline(inst, advice, 2.0, robust=run_alg1(other))
+    with pytest.raises(TypeError):
+        run_baseline(inst, advice, 2.0, run_alg1(inst))  # robust is keyword-only
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.one_of(valid_instances(), valid_instances(min_d=10, max_d=10)),
        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.5, 2.0, 10.0]))

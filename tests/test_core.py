@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import valid_instances
 
-from oracles import streaming_save_instance
+from oracles import padded_trajectory_cost, streaming_save_instance
 
 from cflbench.core import (
     CflError,
@@ -115,6 +115,36 @@ def test_trajectory_cost_streaming_equals_batch():
             prev = xs[t]
         run += weighted_l1(prev, ins.w_weights)
         assert abs(run - cb.total) < 1e-9 * max(1.0, abs(cb.total))
+
+
+@st.composite
+def _decision_sequences(draw):
+    """An instance (T = 1 and d = 1 included) and a (T, d) decision array
+    with entries of 0, -0.0, 1 or anywhere in [-1, 1]."""
+    inst = draw(valid_instances(max_d=10, max_T=12))
+    entry = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1.0, 1.0)
+    xs = draw(st.lists(entry, min_size=inst.T * inst.d, max_size=inst.T * inst.d))
+    return inst, np.array(xs).reshape(inst.T, inst.d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_decision_sequences())
+def test_trajectory_cost_matches_the_padded_form(case):
+    # Building the T + 1 moves in place gives the origin-padded diff's
+    # hitting and switching costs to the bit.
+    inst, xs = case
+    ours, ref = trajectory_cost(inst, xs), padded_trajectory_cost(inst, xs)
+    assert (repr(ours.hitting), repr(ours.switching)) == (repr(ref.hitting), repr(ref.switching))
+
+
+@pytest.mark.parametrize("xs", [[[-0.0]], [[0.5]], [[-0.0, 0.25]], [[0.5], [-0.0], [1.0]]])
+def test_trajectory_cost_at_one_step_or_one_coordinate(xs):
+    xs = np.array(xs)
+    ins = make_instance(d=xs.shape[1], T=xs.shape[0], w=np.full(xs.shape[1], 3.0))
+    ours, ref = trajectory_cost(ins, xs), padded_trajectory_cost(ins, xs)
+    assert (repr(ours.hitting), repr(ours.switching)) == (repr(ref.hitting), repr(ref.switching))
+    if xs.shape[0] == 1:  # in from the origin and straight back out
+        assert ours.switching == 2.0 * 3.0 * float(np.sum(np.abs(xs)))
 
 
 def test_make_trajectory_profile():

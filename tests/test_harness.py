@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cflbench.algorithms as algorithms
+import cflbench.harness as harness
 from cflbench.cli import MAX_THREADS, main
 from cflbench.core import DomainError, Instance, NumericError, instance_to_dict, save_instance
 from cflbench.harness import (
@@ -172,6 +174,50 @@ def test_cmd_run_costs_match_reruns(tmp_path):
         assert clip.empirical_cr <= 3.0 + 1e-6
         assert clip.epsilon == 2.0 and clip.xi == 0.0
         assert alg1.opt_cost == pytest.approx(opt.objective, rel=1e-12)
+
+
+def _counting_alg1_runs(monkeypatch):
+    """Count the alg1 runs: the harness's own (through its runner table) and
+    run_baseline's (through the algorithms module)."""
+    calls = []
+
+    def counted(run):
+        def wrapper(instance):
+            calls.append(instance.seed)
+            return run(instance)
+        return wrapper
+
+    monkeypatch.setitem(harness._RUNNERS, "alg1", counted(harness._RUNNERS["alg1"]))
+    monkeypatch.setattr(algorithms, "run_alg1", counted(algorithms.run_alg1))
+    return calls
+
+
+@pytest.mark.parametrize("roster", [("alg1", "clip", "baseline"), ("baseline",)])
+def test_sweep_and_run_run_alg1_once_per_instance(roster, tmp_path, monkeypatch):
+    # Every baseline record of an instance mixes its advice with the same
+    # alg1 run, which the harness runs once: for the alg1 record when alg1
+    # is in the roster, else for the baseline records alone.  The baseline
+    # records are those of the full roster either way.
+    full, _, _ = cmd_sweep(SweepConfig(d_values=(2,), xi_values=(0.0, 0.5),
+                                       epsilon_values=(2.0, 5.0), instances_per_cell=3,
+                                       seed=5))
+    calls = _counting_alg1_runs(monkeypatch)
+    records, _, _ = cmd_sweep(SweepConfig(d_values=(2,), xi_values=(0.0, 0.5),
+                                          epsilon_values=(2.0, 5.0), instances_per_cell=3,
+                                          seed=5, algorithms=roster))
+    assert len(calls) == 3
+    assert {r.algorithm for r in records} == set(roster)
+    baseline = [r for r in full if r.algorithm == "baseline"]
+    assert [r for r in records if r.algorithm == "baseline"] == baseline and len(baseline) == 12
+
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"inst{i}.json"))
+        save_instance(generate_synthetic(seed=77, index=i, config=GeneratorConfig(d=3)), paths[-1])
+    del calls[:]
+    records = cmd_run(paths, roster, advice_config=AdviceConfig(xi=0.5), epsilon_values=(2.0, 5.0))
+    assert len(calls) == 2
+    assert sum(r.algorithm == "baseline" for r in records) == 4
 
 
 def test_cmd_run_rejects_unknown_algorithm(tmp_path):

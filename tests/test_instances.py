@@ -311,9 +311,9 @@ def _trace_files(draw):
     return "\n".join(lines) + "\n", w
 
 
-# An infinite intensity makes the affine map divide inf by inf on its way
-# to the "must be finite" error.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+# A non-finite intensity is rejected at its row, before any arithmetic on
+# the prices, so no draw may warn.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_trace_files())
 def test_ingest_trace_matches_the_cell_by_cell_oracle(tmp_path_factory, case):
@@ -335,7 +335,9 @@ def test_ingest_trace_matches_the_cell_by_cell_oracle(tmp_path_factory, case):
     ("1,a\n", "line 1: expected 3 fields, got 2"),
     ("1,a,5\n1,b,5,x\n", "line 2: expected 3 fields, got 4"),
     ("timestamp,region,intensity\n\n", "trace contains no data rows"),
-    ("1,a,5\n2,a,nan\n", "trace instance is invalid: L, U, c, w and costs must be finite"),
+    ("1,a,5\n2,a,nan\n", "line 2: intensity 'nan' is not finite"),
+    ("1,a,5\n2,a, inf\n1,b,7\n", "line 2: intensity 'inf' is not finite"),
+    ("1,a,-1e999\n", "line 1: intensity '-1e999' is not finite"),
 ])
 def test_ingest_trace_error_messages(tmp_path, text, message):
     # Every message the reader raises, word for word, and the oracle's.

@@ -9,7 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bisection_checked_alpha
+
 import cflbench.thresholds as thresholds
+from cflbench.cli import main
 from cflbench.core import DomainError, NumericError
 from cflbench.thresholds import (
     compute_alpha,
@@ -279,3 +282,65 @@ def test_params_certify_alpha_once(L, U, beta, eps, monkeypatch):
     params = make_threshold_params(L, U, beta, epsilon=eps)
     assert len(calls) == 1
     assert (params.alpha, params.gamma_eps) == expected
+
+
+def _verdict(route, L, U, beta):
+    try:
+        return route(L, U, beta)
+    except NumericError:
+        return "rejected"
+
+
+def test_alpha_certificate_rejects_where_the_bisection_check_did():
+    # The sign certificate h(alpha - tol) > 0 >= h(alpha + tol) accepts the
+    # closed form exactly where the earlier check against a full bisection
+    # run did, and returns the same double.  Draws: L in [0.01, 100], U/L
+    # log-uniform up to 1e5, beta at 0, uniform below (U - L)/2, or within
+    # a relative 1e-12..1e-1 of it.  About 1% are rejected by both, the
+    # closed form's known inaccuracy at wide price ranges.  Above U/L of
+    # about 3.6e5 the two verdicts can differ: there h's sign next to the
+    # closed form and the bisection's midpoint both turn on rounding.
+    rng = np.random.default_rng(2026)
+    rejected = 0
+    for _ in range(6000):
+        L = 10.0 ** rng.uniform(-2.0, 2.0)
+        U = L * 10.0 ** rng.uniform(0.0, 5.0)
+        half = (U - L) / 2.0
+        kind = rng.integers(3)
+        if kind == 0:
+            b = 0.0
+        elif kind == 1:
+            b = rng.uniform(0.0, 1.0) * half
+        else:
+            b = half * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0))
+        if not b < half:  # rounded onto the bound, or L == U
+            b = 0.0
+        old, new = _verdict(bisection_checked_alpha, L, U, b), _verdict(compute_alpha, L, U, b)
+        assert old == new, (L, U, b, old, new)
+        rejected += new == "rejected"
+    assert 20 <= rejected <= 200
+
+
+@pytest.mark.parametrize("L, U, beta", [(1.0, 250.0, 50.0), (1.0, 250.0, 0.0),
+                                        (0.5, 20.0, 3.0), (3.0, 1000.0, 400.0)])
+@pytest.mark.parametrize("factor", [1.0 + 1e-8, 1.0 - 1e-8])
+def test_alpha_certificate_catches_a_perturbed_lambert_root(L, U, beta, factor, monkeypatch):
+    # A Lambert W root off by 1e-8 relative moves alpha by |w| alpha 1e-8
+    # relative (1e-7 to 6e-7 here), far outside the certificate's 1e-9
+    # bracket, so h no longer changes sign across it.
+    compute_alpha(L, U, beta)
+    lambert = thresholds.lambert_w0
+    monkeypatch.setattr(thresholds, "lambert_w0", lambda x: lambert(x) * factor)
+    with pytest.raises(NumericError):
+        compute_alpha(L, U, beta)
+
+
+def test_cli_wide_price_range_is_a_numeric_failure(tmp_path, capsys):
+    # At U/L = 1e5, beta = 0, the closed form is off by 7e-9 relative
+    # (223.93994344716103 against a root near 223.939945039): the
+    # certificate rejects it, and the sweep exits 3 with one line.
+    argv = ["sweep", "--quick", "--cells", "d=5,u=100000,beta=0,sigma=50", "--algs", "alg1",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and err.count("\n") == 1, err
