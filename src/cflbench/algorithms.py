@@ -8,8 +8,10 @@ players can also be built by name (``make_player``), which is what the
 adaptive adversary drives.
 
 All players honor the compulsory trade: once waiting any longer could
-leave the demand unfinishable even at maximal purchase rates, they switch
-to a greedy filling controller regardless of prices.
+leave the demand unfinishable even at maximal purchase rates, each step
+must buy what the later steps cannot.  ``alg1`` and ``clip`` take their
+usual decision there and raise it only to that utilization floor; the
+heuristics switch to a greedy filling controller regardless of prices.
 
 A player checks its inputs where they enter: the weights once, when it is
 built, and each price vector as ``decide`` receives it.  Its steps then
@@ -156,6 +158,12 @@ class _PlayerBase:
         since rounding ``(T - t) c_i`` is monotone in ``c_i``."""
         return (self.T - self.t) * self.max_c < 1.0 - self.z
 
+    def _floor(self) -> float:
+        """Utilization this step must add in the compulsory window: what
+        the later steps cannot supply even at full rate, positive exactly
+        when ``_compulsory`` holds."""
+        return 1.0 - self.z - (self.T - self.t) * self.max_c
+
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         """Decision at step ``t`` while the demand is still uncovered."""
         raise NotImplementedError
@@ -169,13 +177,18 @@ class _Alg1Player(_PlayerBase):
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         ctx = StepContext._in_run(self.run, f_t, self.x_prev, self.z, 1.0 - self.z)
-        if self._compulsory():
-            # Forced filling on the compulsory controller's schedule, but
-            # picking the cheapest coordinates: the guarantee needs the
-            # player to keep exploiting low prices inside the window.
-            y = min(1.0 - self.z, 1.0, self.run.sum_c)
-            return fill_to_utilization(ctx, y)
-        return minimize_pseudo_cost(ctx)
+        if not self._compulsory():
+            return minimize_pseudo_cost(ctx)
+        # The step must add at least the floor.  The pseudo-cost is convex
+        # in the added utilization, so where the free minimizer adds less,
+        # the best step adds the floor exactly, at the cheapest coordinates;
+        # where the floor is all the step can add, that is the only choice.
+        floor = self._floor()
+        if floor < min(1.0 - self.z, self.run.sum_c):
+            x = minimize_pseudo_cost(ctx)
+            if _weighted_sum(x, self.c_weights) >= floor:
+                return x
+        return fill_to_utilization(ctx, floor)
 
 
 class _AgnosticPlayer(_PlayerBase):
@@ -297,7 +310,6 @@ class _ClipPlayer(_PlayerBase):
         self.clip_cost = 0.0
         self.advice_utilization = 0.0
         self.a_prev = np.zeros(self.d)
-        self.follow_ratio: Optional[float] = None
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         c, w = self.c_weights, self.w_weights
@@ -307,36 +319,20 @@ class _ClipPlayer(_PlayerBase):
         self.a_prev = a_t
         self.p = min(self.p, self.z)
 
+        ctx = StepContext._in_run(self.run, f_t, self.x_prev, self.p, 1.0 - self.z)
+        # run_clip checked the advice and epsilon; the rest are floats.
+        cc = _unchecked(ConsistencyContext, a_t=a_t, adv_cost=self.adv_cost,
+                        clip_cost_so_far=self.clip_cost,
+                        advice_utilization=self.advice_utilization,
+                        z_prev=self.z, epsilon=self.epsilon)
+        x, x_bar = _constrained_with_free(ctx, cc)
+        self.p += min(_weighted_sum(x_bar, c), _weighted_sum(x, c))
         if self._compulsory():
-            # Compulsory trade: track the advice's remaining plan, scaled to
-            # this run's residual demand, and force only what can no longer
-            # wait.  Following the advice is what keeps the window within the
-            # consistency budget: the advice already paid for its own
-            # schedule, so tracking it costs at most that again.
-            if self.follow_ratio is None:
-                adv_rest = float(np.sum(self.advice[self.t - 1:] @ c))
-                need = 1.0 - self.z
-                self.follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
-            x = np.clip(a_t * self.follow_ratio, 0.0, 1.0)
-            # The advice may buy more in one step than this run has left
-            # to buy: scale onto the residual cap, as the solver steps do.
-            used = _weighted_sum(x, c)
-            if used > 1.0 - self.z + FEAS_TOL:
-                x *= (1.0 - self.z) / used
-                used = 1.0 - self.z
-            max_later = (self.T - self.t) * self.max_c
-            shortfall = (1.0 - self.z - used) - max_later
+            # Compulsory trade: buy, cheapest first, only what the later
+            # steps can no longer supply.
+            shortfall = self._floor() - _weighted_sum(x, c)
             if shortfall > FEAS_TOL:
                 x = _top_up(x, shortfall, f_t, c)
-        else:
-            ctx = StepContext._in_run(self.run, f_t, self.x_prev, self.p, 1.0 - self.z)
-            # run_clip checked the advice and epsilon; the rest are floats.
-            cc = _unchecked(ConsistencyContext, a_t=a_t, adv_cost=self.adv_cost,
-                            clip_cost_so_far=self.clip_cost,
-                            advice_utilization=self.advice_utilization,
-                            z_prev=self.z, epsilon=self.epsilon)
-            x, x_bar = _constrained_with_free(ctx, cc)
-            self.p += min(_weighted_sum(x_bar, c), _weighted_sum(x, c))
 
         self.clip_cost += float(f_t @ x) + _weighted_sum(x - self.x_prev, w)
         return x

@@ -60,6 +60,10 @@ __all__ = [
 ADVICE_FREE_ROSTER = ("alg1", "agnostic", "move_to_minimizer", "simple_threshold")
 ADVISED_ROSTER = ("clip", "baseline")
 
+# A record's ratio may fall this far below 1, rounding in its two costs,
+# before it counts as beating the hindsight optimum.
+_CR_FLOOR_SLACK = 1e-6
+
 _RUNNERS = {
     "alg1": run_alg1,
     "agnostic": run_agnostic,
@@ -92,7 +96,7 @@ class ExperimentRecord:
         costs = (self.alg_cost, self.opt_cost, self.empirical_cr)
         if not all(map(math.isfinite, costs)):
             raise NumericError(f"record has a non-finite cost or ratio: {costs}")
-        if self.empirical_cr < 1.0 - 1e-6:
+        if self.empirical_cr < 1.0 - _CR_FLOOR_SLACK:
             raise NumericError(
                 f"record beats the hindsight optimum: cr={self.empirical_cr}"
             )

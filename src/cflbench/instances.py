@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .algorithms import _Alg1Player, _drive, make_player
-from .subproblem import fill_to_utilization  # noqa: F401  (bench/layers.py wraps this name)
+from .subproblem import StepContext, fill_to_utilization
 from .thresholds import make_threshold_params  # noqa: F401  (bench/layers.py wraps this name)
 from .core import (
     DimensionMismatch,
@@ -35,6 +35,15 @@ __all__ = [
     "mal_to_cfl",
     "ingest_trace",
 ]
+
+# AdversaryConfig: y sits on the walk's price grid when it is within this
+# share of max(1, U) of a grid level.
+_GRID_LEVEL_TOL = 1e-9
+# y_adversary_run: the player's demand counts as covered within this of one
+# unit, and a decision whose utilization, or whose largest entry, is at most
+# this buys nothing (it declined the offer, or is back at the origin).
+_COVERED_SLACK = 1e-12
+_IDLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ class AdversaryConfig:
         w_y = round((self.U - self.y) / self.delta)
         if not 1 <= w_y <= self.w_steps or abs(
             self.y - (self.U - w_y * self.delta)
-        ) > 1e-9 * max(1.0, self.U):
+        ) > _GRID_LEVEL_TOL * max(1.0, self.U):
             raise DomainError(
                 f"y={self.y} is not U - k * delta for an integer k in [1, {self.w_steps}]"
             )
@@ -192,7 +201,7 @@ def y_adversary_run(algorithm: str, config: AdversaryConfig) -> tuple[float, flo
         feed(up)
 
     reserve = 2 * config.m
-    full = 1.0 - 1e-12
+    full = 1.0 - _COVERED_SLACK
     for i in range(1, config.level_index):
         level = config.U - i * config.delta
         offer = up.copy()
@@ -204,10 +213,10 @@ def y_adversary_run(algorithm: str, config: AdversaryConfig) -> tuple[float, flo
                 break
             x = feed(offer)
             offers += 1
-            accepted_any = _weighted_sum(x, c) > 1e-12
+            accepted_any = _weighted_sum(x, c) > _IDLE_TOL
             if accepted_any:
                 while (
-                    np.max(np.abs(decisions[-1])) > 1e-12
+                    np.max(np.abs(decisions[-1])) > _IDLE_TOL
                     and len(prices) < T - reserve
                     and player.z < full
                 ):
@@ -234,12 +243,14 @@ def y_adversary_run(algorithm: str, config: AdversaryConfig) -> tuple[float, flo
 
 
 class _InactiveAdvicePlayer(_Alg1Player):
-    """Idles until its own compulsory trade, then takes alg1's step there."""
+    """Idles until its own compulsory trade, then fills all the demand it
+    can in each step, cheapest coordinates first."""
 
     def _step(self, f_t: np.ndarray) -> np.ndarray:
-        if self._compulsory():
-            return super()._step(f_t)
-        return np.zeros(self.d)
+        if not self._compulsory():
+            return np.zeros(self.d)
+        ctx = StepContext._in_run(self.run, f_t, self.x_prev, self.z, 1.0 - self.z)
+        return fill_to_utilization(ctx, min(1.0 - self.z, 1.0, self.run.sum_c))
 
 
 def make_inactive_advice(instance: Instance) -> np.ndarray:

@@ -6,7 +6,10 @@ interval-selection problem per coordinate, whose 0/1 optimum a two-state
 dynamic program finds in O(T); an exact search over the breakpoints of the
 concave dual then finds the multiplier, and the mix of the two plans on
 either side of it that covers exactly one unit is optimal.  The dual value
-certifies every solution.
+certifies every solution.  The program's recurrence runs as a scalar loop
+on short horizons and as whole-array sweeps on long ones (from
+``_SWEEP_MIN_CELLS`` steps times coordinates, a measured crossover); both
+give the same bits.
 
 The cost-maximizing plan behind the anti-advice is a fractional knapsack,
 solved exactly by sorting the items by price per unit of utilization.
@@ -46,6 +49,17 @@ _DUAL_MEET_TOL = 1e-12
 # The dual bound certifies the returned plan: its cost must equal the bound
 # within this share of max(1, |cost|).
 _DUAL_BOUND_TOL = 1e-7
+# The dynamic program sweeps whole arrays from this many cells (steps times
+# coordinates) on, the measured crossover.  Sweeping every horizon, against
+# the scalar recurrence, over whole dual searches on generator-like and
+# trace-like prices: 0.6-0.9x at T <= 24 (d = 5, 10) and T = 96 (d = 2),
+# 0.9-0.95x at 500 cells (T = 250, d = 2), 1.05-1.1x at 1,000 (T = 500,
+# d = 2), 1.5x at 1,500 (T = 300, d = 5), 1.5-2.1x at T = 1000 and 2000
+# with d = 1, and 2.8-3.0x at T = 4380, d = 10.
+_SWEEP_MIN_CELLS = 1000
+# Sweeps before a coordinate still moving finishes with the scalar
+# recurrence.  A year of two-hour steps in ten regions settles in 4 to 13.
+_MAX_SWEEPS = 32
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,91 @@ def _plan(instance: Instance, on: np.ndarray) -> _Plan:
     )
 
 
+def _recurrence(prev: float, gains: list[float], w: float) -> list[float]:
+    """``prev`` and the recurrence's values after it, one per gain, on
+    Python floats: per step two comparisons and one IEEE addition instead
+    of three numpy calls.  The comparisons include ties because numpy
+    returns its second operand on a tie, which settles the sign of a zero.
+    """
+    low = -w
+    out = [prev]
+    for g in gains:
+        if prev <= low:
+            prev = low
+        if prev >= w:
+            prev = w
+        prev += g
+        out.append(prev)
+    return out
+
+
+def _settle_by_sweeps(diff: np.ndarray, gain: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Run up to ``_MAX_SWEEPS`` Jacobi sweeps ``diff[1:] = clip(diff[:-1],
+    -w, w) + gain[1:]`` over all coordinates at once, in place, and return
+    per coordinate the last step known exact, or ``T - 1`` where every step
+    is.
+
+    A sweep that leaves steps ``< k`` unchanged has made steps ``<= k``
+    exact, since each of those was computed from an exact predecessor by
+    the recurrence's own clip and addition; a sweep that changes no bit has
+    reached the recurrence's unique solution.  Bits are compared as
+    integers, so that a changed sign of zero counts.  Rows at or before the
+    first changed one are exact, so the next sweep starts after it.
+    """
+    T, d = diff.shape
+    low = -w
+    buf = np.empty((T - 1, d))
+    start = 1  # steps before start are exact in every coordinate
+    for _ in range(_MAX_SWEEPS):
+        new = buf[: T - start]
+        np.maximum(diff[start - 1 : -1], low, out=new)
+        np.minimum(new, w, out=new)
+        np.add(new, gain[start:], out=new)
+        changed = new.view(np.int64) != diff[start:].view(np.int64)
+        first = int(np.argmax(changed))  # row-major: its row is the first changed
+        if not changed.flat[first]:
+            return np.full(d, T - 1)
+        row = first // d
+        diff[start + row :] = new[row:]
+        settled = start + row
+        start = settled + 1
+        if start == T:
+            return np.full(d, T - 1)
+    # Per coordinate: a coordinate the last sweep left alone is a fixed
+    # point, and otherwise its first changed step is exact.
+    moving = changed.any(axis=0)
+    return np.where(moving, settled - row + np.argmax(changed, axis=0), T - 1)
+
+
+def _difference(gain: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The recurrence ``diff[t] = clip(diff[t-1], -w, w) + gain[t]`` from
+    ``diff[0] = w + gain[0]``, for every step and coordinate of ``gain``.
+
+    Below ``_SWEEP_MIN_CELLS`` cells it runs as the scalar recurrence, one
+    coordinate at a time.  From there on whole-array Jacobi sweeps
+    (``_settle_by_sweeps``) solve it for every step and coordinate at once,
+    starting from the guess that every predecessor is clamped at ``+w``,
+    which is exact at ``t = 0``; a coordinate still moving after
+    ``_MAX_SWEEPS`` sweeps finishes with the scalar recurrence from its
+    last exact step.  Every entry comes from the same clip and the same
+    single IEEE addition as ``np.minimum(np.maximum(x, -w), w) + gain``,
+    so the result is the same bits whichever route ran.  The result is in
+    C order.
+    """
+    T, d = gain.shape
+    if T == 1 or T * d < _SWEEP_MIN_CELLS:
+        diff = np.empty((T, d))
+        for i, (col, w_i) in enumerate(zip(gain.T.tolist(), w.tolist())):
+            diff[:, i] = _recurrence(w_i + col[0], col[1:], w_i)
+        return diff
+    diff = gain + w
+    exact = _settle_by_sweeps(diff, gain, w)
+    for i in np.flatnonzero(exact < T - 1).tolist():
+        k = int(exact[i])
+        diff[k:, i] = _recurrence(float(diff[k, i]), gain[k + 1 :, i].tolist(), float(w[i]))
+    return diff
+
+
 def _lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _Plan]:
     """Dual value g(lam) and a 0/1 plan attaining it.
 
@@ -98,34 +197,16 @@ def _lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _Plan]:
     [0, 1]^T, zero at both ends, whose optimum is a set of on-intervals.
     A two-state (off/on) dynamic program finds it.  It is run on the
     difference ``diff[t]`` of the best costs of ending step t on and off,
-    which obeys ``diff[t] = clip(diff[t-1], -w, w) + f_t - lam c``; the off
-    state's cost grows by ``min(0, diff[t] + w)`` per step, the final move
-    home included.  Ties go to the off state.
-
-    The recurrence runs one coordinate at a time on Python floats, each
-    step two comparisons and one IEEE addition instead of three numpy
-    calls on a d-vector, so ``diff`` is bit for bit what
-    ``np.minimum(np.maximum(x, -w), w) + gain`` gives.  The comparisons
-    include ties because numpy returns its second operand on a tie, which
-    settles the sign of a zero.
+    which obeys ``diff[t] = clip(diff[t-1], -w, w) + f_t - lam c``
+    (``_difference``: a scalar loop on short horizons, whole-array sweeps
+    on long ones, the same bits either way); the off state's cost grows by
+    ``min(0, diff[t] + w)`` per step, the final move home included.  Ties
+    go to the off state.
     """
-    gain = instance.costs - lam * instance.c_weights
     w = instance.w_weights
-    T, d = gain.shape
-    # C order, as the sum below adds in memory order.
-    diff = np.empty((T, d))
-    for i, (col, w_i) in enumerate(zip(gain.T.tolist(), w.tolist())):
-        low = -w_i
-        prev = w_i + col[0]
-        out = [prev]
-        for g in col[1:]:
-            if prev <= low:
-                prev = low
-            if prev >= w_i:
-                prev = w_i
-            prev += g
-            out.append(prev)
-        diff[:, i] = out
+    diff = _difference(instance.costs - lam * instance.c_weights, w)
+    T, d = diff.shape
+    # diff is in C order, as the sum adds in memory order.
     value = lam + float(np.sum(np.minimum(diff + w, 0.0)))
     # Read the plan back: step t is on when diff[t] < -w (the on state is
     # best there whatever follows), off when diff[t] >= w, and otherwise

@@ -4,14 +4,19 @@
 constrained step by bisecting the normalized multiplier to float resolution,
 a slow search that ``minimize_pseudo_cost_constrained``'s dual search is
 checked against; ``checked_decisions`` runs a player with every input check
-repeated on every step, the reference for the players' lean step path.
+repeated on every step, the reference for the players' lean step path
+(``alg1_full_fill`` is ``alg1`` with the earlier compulsory step, which
+filled all it could).  ``vectorized_difference``,
 ``vectorized_lagrangian_plan``, ``streaming_save_instance``,
 ``dict_ingest_trace`` and ``padded_trajectory_cost`` are the earlier forms
-of the hindsight program, the instance writer, the trace reader and the
-switching cost, which the package's faster forms must match bit for bit;
+of the hindsight recurrence and program, the instance writer, the trace
+reader and the switching cost, which the package's faster forms must match
+bit for bit;
 ``bisection_checked_alpha`` is the earlier ``compute_alpha``, which checked
 the closed form against a full bisection run, and whose verdicts the sign
-certificate must reproduce.  All are kept out of the package.
+certificate must reproduce.  ``grid_dp_best`` finds the least cost over
+a grid of plans by a dynamic program, the fast form of enumerating them.
+All are kept out of the package.
 """
 
 import csv
@@ -218,13 +223,28 @@ class _CheckedSteps:
 class _CheckedAlg1(_CheckedSteps, _Alg1Player):
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         ctx = self._context(f_t, self.z)
-        if self._compulsory():
-            y = min(1.0 - self.z, 1.0, float(np.sum(self.c_weights)))
-            return subproblem.fill_to_utilization(ctx, y)
-        return subproblem.minimize_pseudo_cost(ctx)
+        if not self._compulsory():
+            return subproblem.minimize_pseudo_cost(ctx)
+        floor = 1.0 - self.z - (self.T - self.t) * float(np.max(self.c_weights))
+        if floor < min(1.0 - self.z, float(np.sum(self.c_weights))):
+            x = subproblem.minimize_pseudo_cost(ctx)
+            if _norm(x, self.c_weights) >= floor:
+                return x
+        return subproblem.fill_to_utilization(ctx, floor)
 
 
-class _CheckedInactiveAdvice(_CheckedAlg1):
+class _FullFillAlg1(_CheckedAlg1):
+    """``alg1`` with the earlier compulsory step: fill all the demand the
+    step can take, whatever the later steps could still supply."""
+
+    def _step(self, f_t: np.ndarray) -> np.ndarray:
+        if not self._compulsory():
+            return super()._step(f_t)
+        y = min(1.0 - self.z, 1.0, float(np.sum(self.c_weights)))
+        return subproblem.fill_to_utilization(self._context(f_t, self.z), y)
+
+
+class _CheckedInactiveAdvice(_FullFillAlg1):
     def _step(self, f_t: np.ndarray) -> np.ndarray:
         if self._compulsory():
             return super()._step(f_t)
@@ -239,26 +259,17 @@ class _CheckedClip(_CheckedSteps, _ClipPlayer):
         self.adv_cost += float(f_t @ a_t) + _norm(a_t - self.a_prev, w)
         self.a_prev = a_t
         self.p = min(self.p, self.z)
+        cc = ConsistencyContext(a_t=a_t, adv_cost=self.adv_cost,
+                                clip_cost_so_far=self.clip_cost,
+                                advice_utilization=self.advice_utilization,
+                                z_prev=self.z, epsilon=self.epsilon)
+        x, x_bar = subproblem._constrained_with_free(self._context(f_t, self.p), cc)
+        self.p += min(_norm(x_bar, c), _norm(x, c))
         if self._compulsory():
-            if self.follow_ratio is None:
-                adv_rest = float(np.sum(self.advice[self.t - 1:] @ c))
-                need = 1.0 - self.z
-                self.follow_ratio = min(1.0, need / adv_rest) if adv_rest > FEAS_TOL else 0.0
-            x = np.clip(a_t * self.follow_ratio, 0.0, 1.0)
-            used = _norm(x, c)
-            if used > 1.0 - self.z + FEAS_TOL:
-                x *= (1.0 - self.z) / used
-                used = 1.0 - self.z
-            shortfall = (1.0 - self.z - used) - (self.T - self.t) * float(np.max(c))
+            floor = 1.0 - self.z - (self.T - self.t) * float(np.max(c))
+            shortfall = floor - _norm(x, c)
             if shortfall > FEAS_TOL:
                 x = _top_up(x, shortfall, f_t, c)
-        else:
-            cc = ConsistencyContext(a_t=a_t, adv_cost=self.adv_cost,
-                                    clip_cost_so_far=self.clip_cost,
-                                    advice_utilization=self.advice_utilization,
-                                    z_prev=self.z, epsilon=self.epsilon)
-            x, x_bar = subproblem._constrained_with_free(self._context(f_t, self.p), cc)
-            self.p += min(_norm(x_bar, c), _norm(x, c))
         self.clip_cost += float(f_t @ x) + _norm(x - self.x_prev, w)
         return x
 
@@ -272,6 +283,7 @@ CHECKED_PLAYERS = {
                              (_CheckedSteps, _SimpleThresholdPlayer), {}),
     "clip": _CheckedClip,
     "inactive_advice": _CheckedInactiveAdvice,
+    "alg1_full_fill": _FullFillAlg1,
 }
 
 
@@ -292,16 +304,22 @@ def checked_decisions(name: str, instance: Instance, advice: Optional[np.ndarray
     return np.asarray([player.decide(f_t) for f_t in instance.costs])
 
 
-def vectorized_lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _Plan]:
-    """``offline._lagrangian_plan`` with its recurrence stepped over time,
-    each step one numpy call on the d-vector of coordinates."""
-    gain = instance.costs - lam * instance.c_weights
-    w = instance.w_weights
+def vectorized_difference(gain: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``offline._difference`` stepped over time, each step one numpy call
+    on the d-vector of coordinates."""
     T, d = gain.shape
     diff = np.empty((T, d))
     diff[0] = w + gain[0]
     for t in range(1, T):
         np.add(np.minimum(np.maximum(diff[t - 1], -w), w), gain[t], out=diff[t])
+    return diff
+
+
+def vectorized_lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _Plan]:
+    """``offline._lagrangian_plan`` with ``vectorized_difference``."""
+    w = instance.w_weights
+    diff = vectorized_difference(instance.costs - lam * instance.c_weights, w)
+    T, d = diff.shape
     value = lam + float(np.sum(np.minimum(diff + w, 0.0)))
     on_here = diff < -w
     settled = on_here | (diff >= w)
@@ -309,6 +327,57 @@ def vectorized_lagrangian_plan(instance: Instance, lam: float) -> tuple[float, _
     steps = np.where(settled, np.arange(T)[:, None], T)
     source = np.minimum.accumulate(steps[::-1], axis=0)[::-1]
     return value, _plan(instance, on_here[source, np.arange(d)])
+
+
+def grid_dp_best(instance: Instance, levels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least cost, and a plan attaining it, over the plans whose every entry
+    is one of ``levels``, the ``n`` evenly spaced points of [0, 1], with
+    every step's utilization at most one and the total at least one; unit
+    ``c`` only.
+
+    A dynamic program over steps.  Its state is the step's grid decision and
+    the utilization so far in units of ``1/(n - 1)``, capped at one unit.
+    With unit ``c`` those integer counts select exactly the plans that an
+    enumeration's float checks (``<= 1 + 1e-12`` per step, ``>= 1 - 1e-12``
+    in total) select; only the order of the float additions differs.  Ties
+    go to the lower decision index.
+    """
+    if not np.all(instance.c_weights == 1.0):
+        raise DomainError("the grid program counts utilization for unit c only")
+    n, d = len(levels), instance.d
+    full = n - 1
+    grid = np.stack(np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    grid = grid[grid.sum(axis=1) <= full]  # row 0 is the origin
+    xs, counts = levels[grid], grid.sum(axis=1)
+    # move[j, k]: switching cost from decision j to decision k.
+    move = np.abs(xs[:, None, :] - xs[None, :, :]) @ instance.w_weights
+    rows = np.arange(len(xs))
+    best = np.full((len(xs), full + 1), np.inf)  # [decision, units so far]
+    best[0, 0] = 0.0
+    back = []  # per step: the (decision, units) each state came from
+    for f_t in instance.costs:
+        hit = xs @ f_t
+        nxt = np.full_like(best, np.inf)
+        from_j = np.zeros(best.shape, dtype=int)
+        from_u = np.zeros(best.shape, dtype=int)
+        for units in range(full + 1):
+            total = best[:, units, None] + move
+            prev = np.argmin(total, axis=0)
+            arrive = total[prev, rows] + hit
+            cols = np.minimum(full, units + counts)
+            better = arrive < nxt[rows, cols]
+            at = rows[better], cols[better]
+            nxt[at] = arrive[better]
+            from_j[at], from_u[at] = prev[better], units
+        best = nxt
+        back.append((from_j, from_u))
+    final = best[:, full] + move[:, 0]
+    j, u = int(np.argmin(final)), full
+    plan = []
+    for from_j, from_u in reversed(back):
+        plan.append(xs[j])
+        j, u = from_j[j, u], from_u[j, u]
+    return float(final.min()), np.array(plan[::-1])
 
 
 def streaming_save_instance(instance: Instance, path) -> None:

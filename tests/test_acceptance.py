@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import grid_oracle
+from oracles import grid_dp_best, grid_oracle
 
 from cflbench.algorithms import (
     run_agnostic,
@@ -369,6 +369,18 @@ def test_criterion_10_clip_beats_baseline(headline, worst200):
                     f"avg improvement {avg_improvement:.1%}, {dt:.1f}s")
 
 
+def _plan_costs(inst: Instance, xs: np.ndarray) -> np.ndarray:
+    """Costs of the plans ``xs`` (shape ``(n, T, d)``), summed as the
+    enumerator sums them."""
+    hitting = np.einsum("ntd,td->n", xs, inst.costs)
+    padded = np.concatenate(
+        [np.zeros((xs.shape[0], 1, inst.d)), xs,
+         np.zeros((xs.shape[0], 1, inst.d))], axis=1
+    )
+    switching = np.abs(np.diff(padded, axis=1)) @ inst.w_weights
+    return hitting + switching.sum(axis=1)
+
+
 def _grid_search_min(inst: Instance, levels: np.ndarray) -> float:
     """Exhaustive plan search, vectorized in chunks over the flat index."""
     k = inst.T * inst.d
@@ -387,15 +399,15 @@ def _grid_search_min(inst: Instance, levels: np.ndarray) -> float:
         )
         if not np.any(mask):
             continue
-        xs = xs[mask]
-        hitting = np.einsum("ntd,td->n", xs, inst.costs)
-        padded = np.concatenate(
-            [np.zeros((xs.shape[0], 1, inst.d)), xs,
-             np.zeros((xs.shape[0], 1, inst.d))], axis=1
-        )
-        switching = np.abs(np.diff(padded, axis=1)) @ inst.w_weights
-        best = min(best, float(np.min(hitting + switching.sum(axis=1))))
+        best = min(best, float(np.min(_plan_costs(inst, xs[mask]))))
     return best
+
+
+def _grid_min(inst: Instance, levels: np.ndarray) -> float:
+    """The grid minimum: the dynamic program's plan, costed as the
+    enumerator costs it."""
+    _, plan = grid_dp_best(inst, levels)
+    return float(_plan_costs(inst, plan[None])[0])
 
 
 def test_criterion_11_opt_oracle_and_feasibility():
@@ -410,7 +422,7 @@ def test_criterion_11_opt_oracle_and_feasibility():
         inst = Instance(d=d, T=T, L=1.0, U=10.0, c_weights=np.ones(d),
                         w_weights=w, costs=costs)
         sol = solve_opt(inst)
-        best = _grid_search_min(inst, levels)
+        best = _grid_min(inst, levels)
         assert sol.objective >= inst.L - 1e-9
         worst_gap = max(worst_gap, sol.objective - best)
         _RUNS.append(("opt", sol.trajectory.final_utilization))
@@ -418,6 +430,28 @@ def test_criterion_11_opt_oracle_and_feasibility():
     ok = worst_gap <= 1e-9 and min_util >= 1.0 - 1e-9
     _report(11, ok, f"LP-grid gap {worst_gap:.2e}, min utilization over "
                     f"{len(_RUNS)} tracked runs {min_util:.12f}")
+
+
+def test_grid_program_matches_the_plan_enumerator():
+    # Criterion 11's grid minimum comes from a dynamic program over steps;
+    # on its instances with at most four grid entries per plan (194,481
+    # plans) the enumerator finds the same plan cost to the bit.
+    rng = np.random.default_rng(111)
+    levels = np.linspace(0.0, 1.0, 21)
+    compared = 0
+    for _ in range(40):
+        d = int(rng.integers(1, 3))
+        T = int(rng.integers(1, 4))
+        w = rng.uniform(0.0, 2.0, d)
+        costs = rng.uniform(1.0, 10.0, (T, d))
+        if T * d > 4:
+            continue
+        inst = Instance(d=d, T=T, L=1.0, U=10.0, c_weights=np.ones(d),
+                        w_weights=w, costs=costs)
+        best = _grid_search_min(inst, levels)
+        assert _grid_min(inst, levels) == best
+        compared += 1
+    assert compared >= 25
 
 
 def test_criterion_12_star_metric_transform():

@@ -30,6 +30,7 @@ from cflbench.core import (
     InfeasibleError,
     Instance,
     constraint_value,
+    make_trajectory,
     trajectory_violations,
 )
 from cflbench.instances import GeneratorConfig, generate_synthetic, make_inactive_advice
@@ -281,6 +282,71 @@ def test_alg1_alpha_in_the_compulsory_window():
     inst = generate_synthetic(116571189400000, 10, GeneratorConfig(d=2, beta_nominal=0.0))
     ratio = run_alg1(inst).total_cost / solve_opt(inst).objective
     assert ratio <= compute_alpha(inst.L, inst.U, inst.beta) + 1e-6
+
+
+@pytest.mark.parametrize("seed, index, eps", [
+    # The five sweep-advised records (xi = 1) on which clip, tracking the
+    # anti-advice inside the window, broke gamma: CR 271.40 (gamma 242.09),
+    # 269.45 (246.75), 244.87 (239.99), 263.92 (242.50) and 274.68
+    # (244.65).  With the floor they read 223.06, 147.19, 145.41, 175.81
+    # and 209.54.
+    (91201582, 0, 5.0),
+    (93000033, 0, 2.0),
+    (401294, 0, 5.0),
+    (95300202, 0, 5.0),
+    (1200321, 1, 2.0),
+])
+def test_clip_gamma_with_the_utilization_floor(seed, index, eps):
+    inst = generate_synthetic(seed, index, GeneratorConfig())
+    opt = solve_opt(inst)
+    advice = make_advice(inst, AdviceConfig(xi=1.0), opt=opt, worst=solve_worst(inst))
+    cost = run_clip(inst, advice, epsilon=eps).total_cost
+    alpha = compute_alpha(inst.L, inst.U, inst.beta)
+    gamma = compute_gamma(inst.L, inst.U, inst.beta, min(eps, alpha - 1.0))
+    assert cost <= gamma * opt.objective + 1e-6 * inst.U
+
+
+def test_alg1_alpha_with_non_unit_c_window():
+    # With c = [0.724, 0.165] the window opens at step 1, where the full
+    # fill bought both coordinates, one at rate 112: CR 24.27 against
+    # alpha 7.70.  The floor buys 0.276 there, cheapest first: CR 4.57.
+    L, U = 3.38, 367.0
+    c = np.array([0.724, 0.165])
+    inst = make_instance(d=2, T=2, L=L, U=U, c=c, costs=np.array([[112.0, L], [L, L]]) * c)
+    opt = solve_opt(inst).objective
+    alpha = compute_alpha(L, U, inst.beta)
+    assert run_alg1(inst).total_cost <= alpha * opt + 1e-6
+    full_fill = make_trajectory(inst, checked_decisions("alg1_full_fill", inst))
+    assert full_fill.total_cost > alpha * opt
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(valid_instances(max_T=12), st.integers(0, 2**32 - 1))
+def test_alg1_unit_c_runs_keep_the_full_fill_decisions(inst, seed):
+    # With unit c the window is the last step alone, where the floor is the
+    # whole residual demand: alg1's decisions are the full fill's to the bit,
+    # on the property draws and on generator instances.
+    gen = generate_synthetic(seed, 0, GeneratorConfig(d=int(seed % 10) + 1))
+    for case in (inst, gen):
+        if np.all(case.c_weights == 1.0):
+            assert run_alg1(case).decisions.tobytes() == \
+                checked_decisions("alg1_full_fill", case).tobytes()
+
+
+def test_clip_window_raises_its_step_only_to_the_floor():
+    # c = [0.5, 0.5] over two steps: the window opens at step 1 with floor
+    # 0.5.  The anti-advice buys both coordinates there (rates 240 and 200);
+    # clip's own step buys nothing at those prices and is raised to the
+    # floor at the cheaper coordinate, leaving the rest to rate 10.
+    c = np.array([0.5, 0.5])
+    inst = make_instance(d=2, T=2, U=250.0, c=c,
+                         costs=np.array([[240.0, 200.0], [10.0, 10.0]]) * c)
+    opt = solve_opt(inst)
+    advice = make_advice(inst, AdviceConfig(xi=1.0), opt=opt, worst=solve_worst(inst))
+    assert advice.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    traj = run_clip(inst, advice, epsilon=2.0)
+    assert traj.decisions.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert traj.total_cost == 105.0
 
 
 def test_clip_rejects_bad_epsilon():

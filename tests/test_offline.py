@@ -1,6 +1,9 @@
 """Hindsight solutions and the anti-advice checked against exhaustive
 tiny-grid search and against their LPs solved by HiGHS."""
 
+import contextlib
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -11,7 +14,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from strategies import valid_instances
 
-from oracles import vectorized_lagrangian_plan
+from oracles import grid_dp_best, vectorized_difference, vectorized_lagrangian_plan
 
 from cflbench.core import (
     FEAS_TOL,
@@ -22,8 +25,17 @@ from cflbench.core import (
     trajectory_cost,
     trajectory_violations,
 )
+import cflbench.harness as harness
 import cflbench.offline as offline
-from cflbench.instances import GeneratorConfig, MalInstance, generate_synthetic, mal_to_cfl
+from cflbench.cli import main
+from cflbench.core import save_instance
+from cflbench.instances import (
+    GeneratorConfig,
+    MalInstance,
+    generate_synthetic,
+    ingest_trace,
+    mal_to_cfl,
+)
 from cflbench.offline import AdviceConfig, make_advice, solve_opt, solve_worst
 
 
@@ -93,10 +105,29 @@ def test_opt_matches_tiny_grid():
         costs = rng.uniform(1.0, 10.0, (T, d))
         inst = make_instance(d=d, T=T, c=c, w=w, costs=costs)
         sol = solve_opt(inst)
-        ref, _ = grid_best(inst, levels=21)
+        ref, _ = grid_dp_best(inst, np.linspace(0.0, 1.0, 21))
         # grid covers a superset of nothing: LP must do at least as well
         assert sol.objective <= ref + 1e-9
         assert sol.objective >= inst.L - 1e-9
+
+
+def test_grid_program_matches_grid_best():
+    # test_opt_matches_tiny_grid's instances with at most three grid entries
+    # per plan (9,261 plans): the dynamic program and the enumeration find
+    # the same grid minimum, up to the order of the float additions.
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        d = int(rng.integers(1, 3))
+        T = int(rng.integers(1, 3 if d == 2 else 4))
+        w = rng.uniform(0.0, 2.0, d)
+        costs = rng.uniform(1.0, 10.0, (T, d))
+        if T * d > 3:
+            continue
+        inst = make_instance(d=d, T=T, c=np.ones(d), w=w, costs=costs)
+        ref, ref_plan = grid_best(inst, levels=21)
+        value, plan = grid_dp_best(inst, np.linspace(0.0, 1.0, 21))
+        assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert trajectory_cost(inst, plan).total == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_worst_dominates_tiny_grid():
@@ -387,12 +418,14 @@ def test_worst_rejects_unreachable_cover():
 @st.composite
 def _dual_programs(draw):
     """An instance and a multiplier for one run of the hindsight program:
-    d = 1 to 4, T = 1 up to 500, zero or positive switching weights, prices
-    on an integer grid (ties between coordinates and steps) or anywhere,
-    and multipliers at 0, at a price (terms exactly zero), anywhere, or
-    where the dual search makes its first solve."""
+    d = 1 to 4, T = 1 up to 500 or, above the sweeps' crossover, up to
+    4000, zero or positive switching weights, prices on an integer grid
+    (ties between coordinates and steps) or anywhere, and multipliers at
+    0, at a price (terms exactly zero), anywhere, or where the dual search
+    makes its first solve."""
     d = draw(st.integers(1, 4))
-    T = draw(st.sampled_from([1, 2]) | st.integers(1, 500))
+    T = draw(st.sampled_from([1, 2]) | st.integers(1, 500)
+             | st.integers(-(-offline._SWEEP_MIN_CELLS // d), 4000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     L, U = 1.0, draw(st.sampled_from([1.0, 10.0, 250.0]))
     c = np.ones(d) if draw(st.booleans()) else rng.uniform(0.1, 1.0, d)
@@ -416,16 +449,123 @@ def _dual_programs(draw):
     return inst, lam
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_dual_programs())
-def test_lagrangian_plan_matches_vectorized_oracle(case):
-    # The scalar recurrence performs numpy's operations one coordinate at a
-    # time: the dual value and the plan are the vectorized program's to
-    # the bit.
-    inst, lam = case
+def _assert_same_program(inst, lam):
+    gain = inst.costs - lam * inst.c_weights
+    diff = offline._difference(gain, inst.w_weights)
+    assert diff.flags.c_contiguous
+    assert diff.tobytes() == vectorized_difference(gain, inst.w_weights).tobytes()
     value, plan = offline._lagrangian_plan(inst, lam)
     ref_value, ref_plan = vectorized_lagrangian_plan(inst, lam)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
     assert plan.on.shape == ref_plan.on.shape and np.array_equal(plan.on, ref_plan.on)
     assert (plan.cost, plan.coverage) == (ref_plan.cost, ref_plan.coverage)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_dual_programs())
+def test_lagrangian_plan_matches_vectorized_oracle(case):
+    # The sweeps and the scalar recurrence perform numpy's operations, the
+    # one on whole arrays and the other one coordinate at a time: the
+    # recurrence's every entry, the dual value and the plan are the
+    # vectorized program's to the bit.
+    _assert_same_program(*case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_dual_programs(), st.sampled_from([1, 2, 16]))
+def test_lagrangian_plan_at_small_sweep_caps_matches_vectorized_oracle(case, sweeps):
+    # Sweeping every horizon with a cap of 1, 2 or 16 sweeps leaves most
+    # coordinates moving, so most finish with the scalar recurrence from
+    # their first changed step: still the vectorized program's bits.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(offline, "_SWEEP_MIN_CELLS", 2)
+        mp.setattr(offline, "_MAX_SWEEPS", sweeps)
+        _assert_same_program(*case)
+
+
+def _counting_sweeps(monkeypatch):
+    """Record what each ``_settle_by_sweeps`` call returns."""
+    returned = []
+    settle = offline._settle_by_sweeps
+
+    def counted(*args):
+        exact = settle(*args)
+        returned.append(exact)
+        return exact
+
+    monkeypatch.setattr(offline, "_settle_by_sweeps", counted)
+    return returned
+
+
+def test_sweeps_run_on_long_horizons_only(monkeypatch):
+    # A year at two-hour steps in ten regions sweeps; the generator's
+    # horizons (T <= 24) at d = 10 run the scalar recurrence alone.
+    returned = _counting_sweeps(monkeypatch)
+    for i in range(5):
+        solve_opt(generate_synthetic(5, i, GeneratorConfig(d=10)))
+    assert returned == []
+    rng = np.random.default_rng(4380)
+    inst = make_instance(d=10, T=4380, U=250.0, w=np.full(10, 20.0),
+                         costs=rng.uniform(1.0, 250.0, (4380, 10)))
+    for lam in (50.0, 125.0):
+        _assert_same_program(inst, lam)  # sweeps twice: the recurrence, then the plan
+    assert len(returned) == 4
+    assert all(np.array_equal(exact, np.full(10, 4379)) for exact in returned)
+
+
+def test_long_clamp_free_chains_finish_with_the_scalar_recurrence(monkeypatch):
+    # Prices within 1 of lam and w just under (U - L)/2: the difference
+    # wanders between -w and w without touching either for thousands of
+    # steps, so no number of sweeps below that settles it, and every
+    # coordinate finishes from its first changed step.
+    rng = np.random.default_rng(24)
+    L, U, T, d = 1.0, 250.0, 3000, 3
+    lam = 125.0
+    inst = make_instance(d=d, T=T, L=L, U=U, w=np.full(d, 0.49 * (U - L)),
+                         costs=lam + rng.uniform(-1.0, 1.0, (T, d)))
+    returned = _counting_sweeps(monkeypatch)
+    _assert_same_program(inst, lam)
+    exact = returned[0]
+    assert len(returned) == 2 and np.array_equal(returned[1], exact)
+    assert np.all(exact < T - 1)
+    assert np.all(exact >= offline._MAX_SWEEPS)
+
+
+def test_cli_run_on_a_trace_shaped_instance_keeps_the_hindsight_bits(tmp_path, monkeypatch):
+    # cflbench run over a year of two-hour steps in ten regions, ingested
+    # from a trace: the optimum it prices every record against is, to the
+    # bit, the one the vectorized program gives (the scalar recurrence's
+    # bits before the sweeps).
+    rng = np.random.default_rng(611)
+    hours = np.arange(0, 8760, 2)
+    rows = ["timestamp,region,intensity"]
+    for r in range(10):
+        base, swing, phase = rng.uniform(200, 600), rng.uniform(20, 200), rng.uniform(0, 24)
+        daily = base + swing * np.sin(2 * np.pi * (hours + phase) / 24.0)
+        values = np.maximum(1.0, daily + rng.normal(0.0, 30.0, hours.size))
+        rows += [f"{h},r{r},{v:.3f}" for h, v in zip(hours, values)]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(rows) + "\n")
+    inst = ingest_trace(str(trace), w_weights=np.full(10, 20.0))
+    save_instance(inst, str(tmp_path / "instance.json"))
+    solved = []
+
+    def keep(instance):
+        solved.append(solve_opt(instance))
+        return solved[-1]
+
+    monkeypatch.setattr(harness, "solve_opt", keep)
+    argv = ["run", "--algs", "alg1,baseline", "--xi", "0.5", "--eps", "2",
+            "--out", str(tmp_path / "run"), str(tmp_path / "instance.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    monkeypatch.setattr(offline, "_lagrangian_plan", vectorized_lagrangian_plan)
+    ref = solve_opt(inst)
+    (sol,) = solved
+    assert sol.decisions.tobytes() == ref.decisions.tobytes()
+    assert np.float64(sol.objective).tobytes() == np.float64(ref.objective).tobytes()
+    assert sol.solver_stats == ref.solver_stats
+    with open(tmp_path / "run" / "records.csv", newline="") as fh:
+        opt_costs = {row["opt_cost"] for row in csv.DictReader(fh)}
+    assert opt_costs == {repr(ref.objective)}
 
